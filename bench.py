@@ -86,14 +86,13 @@ def run_bench():
             f.write("ok")
     rd.read_parquet(corpus_dir).count()  # warm page cache, untimed
 
-    # fixed actor pool sized as a constant fraction of the CPUs so a
-    # pair of scaling runs compares pools in exactly the CPU ratio,
-    # with headroom for the read stage so the pool cannot starve it
+    # extract-task cap as a constant fraction of the CPUs, so a pair of
+    # scaling runs compares task caps in exactly the CPU ratio; the
+    # remaining CPUs serve the read tasks
     if "GRAFT_POOL" in os.environ:
         hi = int(os.environ["GRAFT_POOL"])
     else:
         hi = max(2, NUM_CPUS * 3 // 4)
-    pool = (hi, hi)
     t0 = time.perf_counter()
     from html_extract.dataops import _clean_schema
     import glob as _glob
@@ -145,7 +144,7 @@ def run_bench():
             schema=_clean_schema(_first, ["doc_id", "spans", "n_bytes"]),
         )
         n_docs, n_spans, n_bytes = consume(
-            P.extracted_dataset(ds=ds, concurrency=pool, batch_size=64)
+            P.extracted_dataset(ds=ds, concurrency=hi, batch_size=64)
         )
         headline_times.append(time.perf_counter() - t0)
 
@@ -189,12 +188,12 @@ def run_scaling():
 
     def run(ncpu):
         env = dict(os.environ, RAY_GRAFT_CPUS=str(ncpu))
-        # pool = N/2 actors at N CPUs: the two levels compare actor
-        # pools in exactly the 1:4 ratio with identical per-actor
+        # at most N/2 extract tasks at N CPUs: the two levels compare
+        # task caps in exactly the 1:4 ratio with identical per-task
         # headroom, and stay below the shared-memory-bandwidth wall
         # this single box hits past ~half its physical cores
         env.setdefault("GRAFT_POOL", str(max(1, ncpu // 2)))
-        # enough work that fixed session costs (read warmup, pool
+        # enough work that fixed session costs (read warmup, worker
         # startup, plan overhead) amortize: at replicate=8 the 32-CPU
         # run finished in ~4 s and those constants alone depressed
         # 8->32 efficiency to 0.58; at 24 the same pair measures 0.745

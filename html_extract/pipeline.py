@@ -2,9 +2,10 @@
 -> write + per-shard lineage manifests, checkpoint-resumable.
 
 Stage classification follows SURVEY.md §7.2: the parse/extract stage is
-an actor pool (per-worker compiled tables: entity dict, tag sets,
-heuristic constants, §2.4); everything crossing a stage boundary is
-Arrow; the hot path is map-only — no shuffle is needed to extract.
+a stateless task stage (its tables are module-level, so a pooled Ray
+worker compiles them once at import and keeps them for every later
+task); everything crossing a stage boundary is Arrow; the hot path is
+map-only — no shuffle is needed to extract.
 
 Scale notes (the 100 TB design):
 - column pruning at the read (only doc_id/text leave storage for the
@@ -58,7 +59,7 @@ META_T = pa.struct(
 )
 
 # target cumulative html bytes per yielded sub-batch from the adapter;
-# sized so batch x actor-pool concurrency stays far under worker heap
+# sized so batch x task concurrency stays far under worker heap
 ADAPTER_SLICE_BYTES = 4 << 20
 
 
@@ -186,17 +187,14 @@ class InterleaveAdapter:
 
 
 class ExtractActor:
-    """Actor-pool stage: {parse -> tree-build -> boilerplate strip} per row.
+    """Task stage: {parse -> tree-build -> boilerplate strip} per row.
 
-    Stateful per SURVEY.md §2.4: the import below compiles the entity
-    table, tag sets and heuristic constants once per actor process;
-    __call__ touches only per-document state, so the stage is
-    deterministic and retry-safe.
+    Stateless: the entity table, tag sets and heuristic constants are
+    module-level, compiled once per worker process when this module is
+    imported, and __call__ touches only per-document state, so the stage
+    is deterministic and retry-safe.  The name is historical; an instance
+    also runs in process as ``ExtractActor()(batch)``.
     """
-
-    def __init__(self):
-        # force the heavy module-level tables into this worker's memory
-        from . import entities, tables  # noqa: F401
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         ids = batch["doc_id"].to_pylist()
@@ -293,13 +291,8 @@ def interleaved_dataset(
     sf_dir, shard=None, num_shards=None, replicate: int = 1, mode: str = "rich"
 ) -> rd.Dataset:
     ds = load_documents(sf_dir, shard, num_shards)
-    # NOTE: deliberately an INSTANCE (task stage that FUSES with the
-    # downstream extract actor pool).  A class+kwargs actor pool here
-    # silences Ray's "constructor arguments in the object store"
-    # restart warning but adds a second pool that deadlocks narrow
-    # sessions (two pools + read tasks on 4 CPUs) and an extra
-    # object-store hop; the warning itself is benign while the driver
-    # owns the argument reference (ray-project/ray#53727).
+    # NOTE: deliberately an INSTANCE: a stateless task stage, for the
+    # reasons given in extracted_dataset.
     return ds.map_batches(
         InterleaveAdapter(replicate=replicate, mode=mode),
         batch_format="pyarrow",
@@ -314,23 +307,23 @@ def extracted_dataset(
     batch_size: int = 64,
     replicate: int = 1,
 ) -> rd.Dataset:
-    """The flagship pipeline as a lazy Dataset (no materialization)."""
+    """The flagship pipeline as a lazy Dataset (no materialization).
+
+    The stateless ExtractActor INSTANCE runs on Ray Data's task pool, in
+    the session's warm pooled workers.  An actor pool would start a fresh
+    worker per Dataset execution (≈1.3 s of Ray start-up each, measured
+    in a 2-CPU session) and hold its CPU, which deadlocks a 1-CPU session.
+    ``concurrency``: an int caps concurrent tasks, None autoscales, and
+    ``(lo, hi)`` means at most ``hi``.
+    """
     if ds is None:
         ds = interleaved_dataset(sf_dir, replicate=replicate)
-    if concurrency is None:
-        # autoscaling pool capped BELOW the CPU count: a pool that
-        # reserves every CPU starves the read/adapter stages (measured:
-        # a fixed full-width pool deadlocks the streaming executor)
-        import ray
-
-        cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-        hi = max(2, cpus - 2)
-        concurrency = (max(1, min(8, hi // 2)), hi)
+    if isinstance(concurrency, tuple):
+        concurrency = concurrency[1]
     return ds.map_batches(
-        ExtractActor,
+        ExtractActor(),
         batch_format="pyarrow",
         batch_size=batch_size,
-        num_cpus=1,
         concurrency=concurrency,
     )
 

@@ -178,29 +178,102 @@ def test_multifile_corpus_file_level_sharding(tmp_path):
     assert len(seen) == len(set(seen))
 
 
+GOLDEN_FP = os.path.join(os.path.dirname(__file__), "golden", "span_fp_sf0.001.parquet")
+
+
+def _assert_golden_fingerprints(got):
+    """``got``: a (doc_id, fp) DataFrame for the whole sf0.001 corpus."""
+    import pandas as pd
+
+    golden = pd.read_parquet(GOLDEN_FP)
+    got = got.sort_values("doc_id", ignore_index=True)
+    assert got["doc_id"].tolist() == golden["doc_id"].tolist()
+    mism = got[got["fp"] != golden["fp"]]
+    assert len(mism) == 0, f"{len(mism)} fingerprint mismatches: {mism.head()}"
+
+
 def test_golden_span_fingerprints_frozen():
     """Frozen-oracle check: the full Ray pipeline's span fingerprints
     at sf0.001 must match the committed golden parquet byte-for-byte.
     Regenerate ONLY via `python tools/gen_golden_spans.py --write`
     after an intentional extraction-semantics change."""
-    import os
+    from html_extract import pipeline as P
 
-    import pandas as pd
+    _assert_golden_fingerprints(
+        P.span_fingerprints(P.extracted_dataset(SF_DIR)).to_pandas()
+    )
+
+
+@pytest.mark.parametrize(
+    "concurrency,size", [(None, None), (2, 2), ((1, 1), 1)], ids=["none", "int", "tuple"]
+)
+def test_extract_stage_is_task_pool(concurrency, size):
+    """The extract stage runs on Ray Data's task pool for every form of
+    ``concurrency`` (a tuple caps tasks at its upper bound) and keeps
+    the golden output: a per-Dataset actor pool must not come back."""
+    from ray.data._internal.compute import TaskPoolStrategy
 
     from html_extract import pipeline as P
 
-    golden_path = os.path.join(
-        os.path.dirname(__file__), "golden", "span_fp_sf0.001.parquet"
+    ds = P.extracted_dataset(ds=P.interleaved_dataset(SF_DIR), concurrency=concurrency)
+    compute = ds._logical_plan.dag._compute
+    assert isinstance(compute, TaskPoolStrategy)
+    assert compute.size == size
+    _assert_golden_fingerprints(P.span_fingerprints(ds).to_pandas())
+
+
+ONE_CPU_RUN = """
+import json, sys
+import ray
+from ray.data import DataContext
+ray.init(address="local", num_cpus=1, include_dashboard=False,
+         logging_level="ERROR", object_store_memory=256 << 20, _temp_dir=sys.argv[1])
+DataContext.get_current().enable_progress_bars = False
+from html_extract import pipeline as P
+fp = P.span_fingerprints(P.extracted_dataset(sys.argv[2])).to_pandas()
+print(json.dumps(dict(zip(fp["doc_id"], fp["fp"]))))
+ray.shutdown()
+"""
+
+
+def test_one_cpu_session_completes():
+    """A 1-CPU session must finish extraction with the golden output.
+    An extract actor pool held the only CPU, the read stage could not
+    be scheduled, and the job hung (>300 s at sf0.001)."""
+    import json
+    import shutil
+    import signal
+    import subprocess
+    import sys
+    import tempfile
+
+    import pandas as pd
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    # under /tmp: Ray's socket paths are its temp dir plus ~64 bytes and
+    # must stay under 108
+    ray_tmp = tempfile.mkdtemp(prefix="ray1cpu", dir="/tmp")
+    proc = subprocess.Popen(
+        [sys.executable, "-c", ONE_CPU_RUN, ray_tmp, SF_DIR],
+        cwd=root,
+        env=dict(os.environ, PYTHONPATH=root),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
     )
-    golden = pd.read_parquet(golden_path)
-    got = (
-        P.span_fingerprints(P.extracted_dataset("/root/testdata/sf0.001"))
-        .to_pandas()
-        .sort_values("doc_id", ignore_index=True)
-    )
-    assert got["doc_id"].tolist() == golden["doc_id"].tolist()
-    mism = got[got["fp"] != golden["fp"]]
-    assert len(mism) == 0, f"{len(mism)} fingerprint mismatches: {mism.head()}"
+    try:
+        out, err = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        # the driver and the Ray processes it started share its session
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("extraction in a 1-CPU Ray session did not finish in 120 s")
+    finally:
+        shutil.rmtree(ray_tmp, ignore_errors=True)
+    assert proc.returncode == 0, err[-2000:]
+    fps = json.loads(out.strip().splitlines()[-1])
+    _assert_golden_fingerprints(pd.DataFrame({"doc_id": list(fps), "fp": list(fps.values())}))
 
 
 def test_resume_recomputes_on_corrupt_manifest(tmp_path):
