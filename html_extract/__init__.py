@@ -4,14 +4,15 @@ Built from scratch against the WHATWG HTML parsing spec, with operator
 parity to mensbeam/HTML-Parser (the reference at /root/reference; see
 SURVEY.md for the file:line operator inventory).  The per-document core
 (charset sniff -> tokenize <-> tree-build -> extract spans) is pure
-Python and runs inside Ray Data ``map_batches`` actor pools; everything
-crossing a stage boundary is Arrow.
+Python and runs inside Ray Data ``map_batches`` tasks on the session's
+task pool; everything crossing a stage boundary is Arrow.
 
 Public API:
     parse(text_or_bytes, ...)         -> Output (document, encoding, quirks, errors)
     parse_fragment(context, text)     -> list of nodes
     serialize(node) / serialize_inner -> str
-    extract_spans(text_or_bytes)      -> ordered (kind, text, media_ref, order) spans
+    extract_spans(text_or_bytes)      -> (spans, meta): ordered (kind, text, media_ref) spans
+    process_document(doc_id, spans)   -> (spans, meta): (kind, text, media_ref, order) spans
     pipeline.*                        -> Ray Data pipelines (read -> parse -> write)
 """
 

@@ -26,10 +26,12 @@ Heuristics:
   from alt / title / aria-label), interleaved in document order.
 """
 
+import gc
 import re
 import time
+from contextlib import contextmanager
 
-from .dom import Element, Text
+from .dom import Element, Text, release_tree
 from .parser import Config, parse
 from .tables import HTML_NS
 
@@ -254,6 +256,25 @@ def extract_from_document(doc, base_url=None):
     return out
 
 
+@contextmanager
+def gc_paused():
+    """Run the block with the cyclic collector paused, then restore the
+    caller's ``gc.isenabled()`` state, also when the block raises.
+    Nesting-safe: an inner pause finds the collector off and leaves it
+    off.  The switch is process-wide, not per thread: while one thread
+    is inside, no thread's garbage is collected, and a thread leaving
+    re-enables the collector even if another is still inside (which
+    then merely runs with it on)."""
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
 # shared read-only parse config: Config construction is per-DOC fixed
 # cost otherwise (1.7 KB docs feel every allocation; parse() never
 # mutates its config)
@@ -262,33 +283,24 @@ _EXTRACT_CONFIG = Config(error_collection=True, error_positions=False)
 
 def extract_spans(data, content_type=None):
     """One HTML payload (str/bytes) -> (spans, meta) where spans is a list
-    of (kind, text, media_ref) and meta mirrors the Output record."""
-    t0 = time.perf_counter_ns()
-    out = parse(data, content_type=content_type, config=_EXTRACT_CONFIG)
-    spans = extract_from_document(out.document)
-    n_nodes = _count_nodes(out.document)
+    of (kind, text, media_ref) and meta mirrors the Output record.
+
+    Runs with the cyclic collector paused and frees its DOM by reference
+    counting (README, "Per-document memory lifecycle")."""
+    with gc_paused():
+        t0 = time.perf_counter_ns()
+        out = parse(data, content_type=content_type, config=_EXTRACT_CONFIG)
+        spans = extract_from_document(out.document)
+        n_nodes = release_tree(out.document)
+        parse_ns = time.perf_counter_ns() - t0
     meta = {
         "encoding": out.encoding,
         "quirks_mode": out.quirks_mode,
         "n_errors": len(out.errors),
         "n_nodes": n_nodes,
-        "parse_ns": time.perf_counter_ns() - t0,
+        "parse_ns": parse_ns,
     }
     return spans, meta
-
-
-def _count_nodes(node):
-    n = 0
-    stack = [node]
-    while stack:
-        cur = stack.pop()
-        n += 1
-        kids = cur.children
-        if kids:
-            stack.extend(kids)
-        if cur.__class__ is Element and cur.template_content is not None:
-            stack.append(cur.template_content)
-    return n
 
 
 def process_document(doc_id, in_spans, content_type=None):

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 from . import charset as cs
 from . import tokenizer as tkz
-from .dom import Document, DocumentFragment
+from .dom import Document, DocumentFragment, release_tree
 from .tables import HTML_NS, MATHML_NS, SVG_NS
 from .tokenizer import Tokenizer
 from .treebuilder import TreeBuilder
@@ -137,7 +137,13 @@ def _parse_once(text, config, encoding_name, certain, raw_had_meta_hook):
                 raise _EncodingChange(canon)
 
         tb.on_meta = on_meta
-    tb.run()
+    try:
+        tb.run()
+    except _EncodingChange:
+        # the abandoned attempt: free its partial tree now, so a restart
+        # never holds two trees while the collector is paused
+        release_tree(tb.doc)
+        raise
     return tok, tb
 
 
@@ -161,9 +167,12 @@ def parse(data, content_type=None, config=None) -> Output:
             restarted = False
         except _EncodingChange as change:
             enc = change.encoding
+            restarted = True
+        if restarted:
+            # outside the except block: the exception's traceback, and
+            # with it the first attempt's builder and text, is gone
             text = cs.decode(raw[bomlen:], enc)
             tok, tb = _parse_once(text, config, enc, True, False)
-            restarted = True
     else:
         enc = "UTF-8"
         text = data

@@ -96,6 +96,11 @@ def _text_tok(data: str):
     return ("Space", data) if not data.strip(TEXT_WS) else ("Character", data)
 
 
+def cdata_never() -> bool:
+    """Default ``Tokenizer.cdata_allowed``: no tree builder attached."""
+    return False
+
+
 class Tokenizer:
     """One instance per document; drives a single pass over ``text``."""
 
@@ -115,7 +120,7 @@ class Tokenizer:
         self.processing_instructions = processing_instructions
         # Callable polled at '<![CDATA[' — the tree builder supplies one that
         # checks the adjusted current node's namespace (Tokenizer.php:2064-2080).
-        self.cdata_allowed = cdata_allowed if cdata_allowed is not None else (lambda: False)
+        self.cdata_allowed = cdata_allowed if cdata_allowed is not None else cdata_never
         self.errors: list[tuple[str, int]] = []
 
     # -- error reporting ------------------------------------------------

@@ -17,6 +17,7 @@ from .dom import (
     Element,
     ProcessingInstruction,
     Text,
+    release_tree,
 )
 from . import tokenizer as tkz
 from .tables import (
@@ -551,15 +552,21 @@ class TreeBuilder:
 
     # -- main loop -------------------------------------------------------
     def run(self):
-        """Pull tokens and build the tree; returns the document."""
+        """Pull tokens and build the tree; returns the document.
+
+        On return, also by an exception, the tokenizer no longer holds
+        this builder's ``_cdata_allowed`` (which made the pair a cycle)."""
         tokens = self.tokenizer.tokens()
-        for tok in tokens:
-            self._process(tok)
-            while self._pending:
-                t = self._pending.pop()
-                self._process(t)
-            if tok[0] == "EOF":
-                break
+        try:
+            for tok in tokens:
+                self._process(tok)
+                while self._pending:
+                    t = self._pending.pop()
+                    self._process(t)
+                if tok[0] == "EOF":
+                    break
+        finally:
+            self.tokenizer.cdata_allowed = tkz.cdata_never
         return self.doc
 
     _pending: list = []
@@ -1382,6 +1389,7 @@ class TreeBuilder:
             if body.parent is not None:
                 body.parent.remove(body)
             del self.stack[1:]
+            release_tree(body)  # out of the document for good
             self._insert_html_element("frameset", attrs)
             self.mode = IN_FRAMESET
             return None

@@ -1,6 +1,8 @@
 """Extraction heuristics: boilerplate strip + media resolution + ordering."""
 
 from html_extract.extract import extract_spans, process_document
+from html_extract.parser import parse
+from tests.treefmt import count_nodes
 
 ARTICLE = """
 <!DOCTYPE html><html><head><title>Page Title</title></head><body>
@@ -45,7 +47,7 @@ def test_article_extraction_order_and_pruning():
     i_second = next(i for i, t in enumerate(texts) if "Second paragraph" in t)
     assert i_first < i_media < i_second
     assert meta["quirks_mode"] == 0
-    assert meta["n_nodes"] > 10
+    assert meta["n_nodes"] == count_nodes(parse(ARTICLE).document) > 10
 
 
 def test_link_farm_dropped():

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from html_extract.extract import extract_spans, process_document
 from html_extract.parser import parse
 from html_extract.serializer import serialize
+from tests.treefmt import count_nodes
 
 # strings biased toward markup-significant characters and constructs
 _tokens = st.sampled_from(
@@ -37,7 +38,7 @@ def test_extract_spans_well_formed(s):
         assert isinstance(text, str) and isinstance(ref, str)
         if kind == "text":
             assert text == text.strip()
-    assert meta["n_nodes"] >= 1
+    assert meta["n_nodes"] == count_nodes(parse(s).document) >= 1
 
 
 @settings(max_examples=100, deadline=None)
@@ -114,7 +115,7 @@ def test_div_spam_document_is_linear_time():
     t0 = time.perf_counter()
     spans, meta = process_document("d", [("html", monster, "")])
     dt = time.perf_counter() - t0
-    assert meta["n_nodes"] > 60000
+    assert meta["n_nodes"] == count_nodes(parse(monster).document) > 60000
     assert len(spans) > 1000
     assert dt < 20  # quadratic behavior would take minutes
 
@@ -130,7 +131,7 @@ def test_unclosed_formatting_spam_is_linear_time():
     t0 = time.perf_counter()
     spans, meta = process_document("d", [("html", doc, "")])
     dt = time.perf_counter() - t0
-    assert meta["n_nodes"] > 30000
+    assert meta["n_nodes"] == count_nodes(parse(doc).document) > 30000
     assert dt < 15
 
 

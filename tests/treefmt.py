@@ -63,3 +63,17 @@ def serialize_test_format(node, indent=0, lines=None):
         for child in node.children:
             serialize_test_format(child, indent + 1, lines)
     return lines
+
+
+def count_nodes(node):
+    """Every node under ``node``, itself and template contents included:
+    the test-side count that ``meta["n_nodes"]`` must equal."""
+    n = 0
+    stack = [node]
+    while stack:
+        cur = stack.pop()
+        n += 1
+        stack.extend(cur.children)
+        if isinstance(cur, Element) and cur.template_content is not None:
+            stack.append(cur.template_content)
+    return n
