@@ -30,7 +30,6 @@ def entry() -> Any:
 
 def queries() -> dict[str, Callable[[str], Any]]:
     from html_extract import dataops as D
-    from html_extract import multimodal as M
     from html_extract import pipeline as P
 
     def extract_spans(sf_dir):
@@ -137,7 +136,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "conformance_diff": lambda sf: P.conformance_diff(sf, num_partitions=8),
         "extract_meta": extract_meta,
         "reserialized_html": P.reserialized,
-        "pretty_html": P.pretty_html,
+        "pretty_html": lambda sf: P.reserialized(sf, reformat_whitespace=True),
         # --- dedup / similarity / packing (non-SQL -> rows-only) ---
         "minhash_candidates": D.minhash_candidates,
         "kmeans_clusters": D.kmeans_clusters,
@@ -149,8 +148,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "winnow_fingerprints": D.winnow_fingerprints,
         "langid": D.langid,
         "sampled_docs": D.sampled_docs,
-        "media_features": M.media_features,
-        "media_frames": M.media_frames,
     }
 
 

@@ -9,8 +9,18 @@ fingerprinting) and windowed event aggregation.
 Design rules applied throughout (see ray_guide / SURVEY.md §4):
 - column pruning at the read,
 - vectorized per-batch kernels (pandas/numpy/pyarrow),
-- partial aggregation inside map_batches BEFORE any groupby shuffle,
+- partial aggregation inside map_batches BEFORE any shuffle,
 - small sides broadcast once with ray.put, never shuffled,
+- one keyed shuffle primitive, ``_exchange(sides, fn, num_partitions)``:
+  every side is hash-partitioned on its key columns by ``_hash_mod``
+  and ``fn(part_id, *tables)`` runs once per partition.  Each side
+  reaches ``fn`` as its own Arrow table with its own types (zero rows
+  when its rows all hash elsewhere; ``None`` only when the side had no
+  non-empty block), so joins need no null padding and no schema probe.
+  Partition 0 always runs, so ``fn`` also decides the schema of an
+  all-empty result.  Joins, semi/anti and as-of joins and keyed
+  combines are per-partition functions over it; ``_tree_agg`` is the
+  keyless form (one combine task),
 - deterministic hashes only (blake2/md5/crc32 — never PYTHONHASHSEED-
   dependent builtins), so results are stable across machines.
 """
@@ -31,6 +41,10 @@ def _path(sf_dir, name):
     return os.path.join(sf_dir, f"{name}.parquet")
 
 
+def _cpus() -> int:
+    return int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
+
+
 def _read(sf_dir, name, columns) -> rd.Dataset:
     """Column-pruned read with a block count scaled to the input size.
 
@@ -45,8 +59,7 @@ def _read(sf_dir, name, columns) -> rd.Dataset:
     schema = _clean_schema(path, columns)
     if size > (1 << 30):
         return rd.read_parquet(path, columns=columns, schema=schema)
-    cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    nblocks = max(4, min(cpus, 64), size // (16 << 20))
+    nblocks = max(4, min(_cpus(), 64), size // (16 << 20))
     return rd.read_parquet(
         path, columns=columns, schema=schema, override_num_blocks=int(nblocks)
     )
@@ -66,36 +79,30 @@ def _clean_schema(path, columns=None):
 
 
 # ---------------------------------------------------------------------------
-# keyed aggregation: combiner tree / hash-partitioned combine
+# keyed exchange (contract in the module docstring)
 #
-# Ray Data's sort-based groupby().aggregate() pays ~per-group Python
-# overhead in the reduce (measured: 153k groups -> 78 s for a trivial
-# count).  For associative/commutative aggregates the combiner pattern
-# is strictly better: vectorized pandas groupby per batch (massive
-# shrink), then a vectorized combine over the partials.  Two shapes:
-#
-# - `_tree_agg`: single final combine task.  Correct and fastest when
-#   the DISTINCT-KEY set fits one worker (sources, langs, hours,
-#   nations — all tiny, bounded cardinality).
-# - `_keyed_agg`: hash-partition the partials on the key, then one
-#   vectorized combine per PARTITION (groupby over the partition id —
-#   P groups, so P Python calls, each a pandas groupby inside).  This
-#   is the 100 TB shape for unbounded key sets (content hashes, words,
-#   candidate pairs): no single task ever sees the whole key space.
+# `_tree_agg`, the keyless form, suits results whose distinct keys fit
+# one worker (sources, langs, hours, nations).  Ray Data's sort-based
+# groupby().aggregate() pays ~per-group Python overhead in the reduce
+# (measured: 153k groups -> 78 s for a trivial count), so keyed
+# aggregates shrink per batch first (`_keyed_agg`) and combine per
+# PARTITION: P Python calls, each a vectorized pandas groupby, and no
+# task ever sees the whole key space.
 
-
-def _tree_agg(ds: rd.Dataset, partial_fn, combine_fn=None) -> rd.Dataset:
-    partials = ds.map_batches(partial_fn, batch_format="pandas")
-    return partials.repartition(1).map_batches(
-        combine_fn or partial_fn, batch_format="pandas", batch_size=None
-    )
+# The shuffle schema: one row per (input block, partition, side), the
+# rows of that block for that partition as an Arrow IPC stream.  It does
+# not depend on the inputs, so blocks of different sides concatenate
+# without padding, and every partition receives every side's schema
+# (zero-row slices included).
+_TAG_SCHEMA = pa.schema(
+    [("_part", pa.int32()), ("_side", pa.int8()), ("_ipc", pa.large_binary())]
+)
 
 
 def _num_partitions(requested=None) -> int:
     if requested:
         return int(requested)
-    cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    return max(8, cpus)
+    return max(8, _cpus())
 
 
 def _hash_mod(df: pd.DataFrame, key_cols, mod: int) -> np.ndarray:
@@ -105,49 +112,133 @@ def _hash_mod(df: pd.DataFrame, key_cols, mod: int) -> np.ndarray:
     return (h.to_numpy(dtype=np.uint64) % np.uint64(mod)).astype(np.int32)
 
 
-def _partition_apply(
-    ds: rd.Dataset, key_cols, group_fn, num_partitions=None, keep_part=False
-) -> rd.Dataset:
-    """Hash-partition ``ds`` on ``key_cols`` and run ``group_fn`` once
-    per partition (vectorized pandas inside; rows with equal keys are
-    guaranteed co-located).  The groupby key is the PARTITION id, so
-    the per-group Python overhead is O(P), not O(distinct keys).
-    With ``keep_part`` the ``_part`` column (unique per partition by
-    construction) stays visible to ``group_fn``."""
+def _exchange(sides, fn, num_partitions=None) -> rd.Dataset:
+    """Hash-partition every side on its keys and run ``fn`` per partition.
+
+    ``sides`` is a list of ``(Dataset, key_cols)``; all sides use the
+    same partitioner, so equal keys meet in one partition.  The result
+    is the concatenation of ``fn(part_id, *tables)`` over the partitions
+    (``None`` results are dropped).  ``fn`` runs for every partition id
+    in ``range(P)`` once any side has a row.  Each table holds that
+    partition's rows of one side, with the side's own Arrow types; it
+    has zero rows when the side's rows all hash elsewhere, and it is
+    ``None`` only when the side had no non-empty block at all.  On
+    all-empty inputs ``fn`` still runs once, for partition 0 with every
+    side ``None``, and decides the result's schema.
+
+    A side may add a third element, ``prep(block) -> pa.Table``, run on
+    each of its input blocks inside the tag map (``key_cols`` then name
+    columns of its output).  Ray never hands a map an empty block: it
+    passes the block on unchanged, and each later map reports it as a
+    schema change.  A filter in ``prep`` may empty a block and still
+    tags typed zero-row slices.
+
+    Plan: tag map -> sort on ``_part`` -> one map over the sorted
+    blocks, the same shape as ``groupby().map_groups``; no schema probe
+    and no other execution."""
     P = _num_partitions(num_partitions)
-    cols = list(key_cols)
 
-    def add_part(t: pa.Table):
-        # Arrow-level: only the KEY columns are converted to pandas
-        # (for the stable siphash); payload columns — often large
-        # exploded-token strings — stay zero-copy Arrow through the
-        # shuffle instead of boxing into object-dtype pandas blocks.
-        # Zero-row blocks are dropped outright: they carry degraded
-        # schemas (object/null columns) that only feed the executor's
-        # "different schema than the previous one" warning storm.
-        if t.num_rows == 0:
-            return
-        if t.schema.metadata:
-            # Ray's pandas->Arrow block conversion attaches b'pandas'
-            # schema metadata whose decoded form is an unhashable dict;
-            # downstream concat/dedup then logs "Failed to hash the
-            # schemas" and misses its fast path (same trap as parquet
-            # reads, see _clean_schema)
+    def tag(side, key_cols, prep=None):
+        def f(t: pa.Table) -> pa.Table:
+            if prep is not None:
+                t = prep(t)
+            # pandas-born blocks carry b'pandas' schema metadata whose
+            # decoded form is an unhashable dict (see _clean_schema)
             t = t.replace_schema_metadata(None)
-        key_df = pd.DataFrame({c: t[c].to_pandas() for c in cols})
-        part = _hash_mod(key_df, cols, P)
-        yield t.append_column("_part", pa.array(part, pa.int32()))
+            part = _hash_mod(
+                pd.DataFrame({c: t[c].to_pandas() for c in key_cols}), key_cols, P
+            )
+            t = t.take(np.argsort(part, kind="stable"))
+            ends = np.cumsum(np.bincount(part, minlength=P))
+            sink, offsets, lo = pa.BufferOutputStream(), [0], 0
+            for hi in ends:
+                with pa.ipc.new_stream(sink, t.schema) as w:
+                    w.write_table(t.slice(lo, hi - lo))
+                offsets.append(sink.tell())
+                lo = hi
+            ipc = pa.Array.from_buffers(
+                pa.large_binary(),
+                P,
+                [None, pa.py_buffer(np.array(offsets, np.int64)), sink.getvalue()],
+            )
+            return pa.table(
+                [
+                    pa.array(np.arange(P, dtype=np.int32)),
+                    pa.array(np.full(P, side, dtype=np.int8)),
+                    ipc,
+                ],
+                schema=_TAG_SCHEMA,
+            )
 
-    def run(g: pd.DataFrame) -> pd.DataFrame:
-        if keep_part:
-            return group_fn(g)
-        return group_fn(g.drop(columns=["_part"]))
+        return f
 
-    return (
-        ds.map_batches(add_part, batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(run, batch_format="pandas")
+    seed = pa.table([[0], [-1], [b""]], schema=_TAG_SCHEMA)
+    tagged = rd.from_arrow(seed).union(
+        *(
+            ds.map_batches(tag(i, list(keys), *prep), batch_format="pyarrow")
+            for i, (ds, keys, *prep) in enumerate(sides)
+        )
     )
+
+    def run(t: pa.Table):
+        if t.num_rows == 0:  # a range no tag row reached (all-empty input)
+            return
+        part_ids = t["_part"].to_numpy()
+        side_ids = t["_side"].to_numpy()
+        blobs = [b for chunk in t["_ipc"].chunks for b in chunk]
+        order = np.argsort(part_ids, kind="stable")
+        starts = np.flatnonzero(np.r_[True, np.diff(part_ids[order]) != 0])
+        for lo, hi in zip(starts, np.r_[starts[1:], len(order)]):
+            got = [[] for _ in sides]
+            for i in order[lo:hi]:
+                if side_ids[i] >= 0:
+                    got[side_ids[i]].append(
+                        pa.ipc.open_stream(blobs[i].as_buffer()).read_all()
+                    )
+            out = fn(
+                int(part_ids[order[lo]]),
+                *(
+                    pa.concat_tables(g, promote_options="permissive") if g else None
+                    for g in got
+                ),
+            )
+            if out is not None:
+                yield out
+
+    # R fixed ranges of consecutive partition ids, one task each (at
+    # most one per CPU): no sampling stage, and no empty range, since
+    # every tag block carries all P ids.  A map task that yields no row
+    # still emits an empty block, which every later map passes on as a
+    # schema change; a range of several partitions rarely yields none.
+    R = min(P, _cpus())
+    if R == 1:
+        ranges = tagged.repartition(1)
+    else:
+        ranges = tagged.sort("_part", boundaries=[i * P // R for i in range(1, R)])
+    return ranges.map_batches(run, batch_format="pyarrow", batch_size=None)
+
+
+def _tree_agg(ds: rd.Dataset, partial_fn, combine_fn=None) -> rd.Dataset:
+    """Keyless combine: ``partial_fn`` per batch (skipped when None),
+    then ``combine_fn`` (default ``partial_fn``) once over all partials
+    in a single task."""
+    if partial_fn is not None:
+        ds = ds.map_batches(partial_fn, batch_format="pandas")
+    return ds.repartition(1).map_batches(
+        combine_fn or partial_fn, batch_format="pandas", batch_size=None
+    )
+
+
+def _partition_apply(ds: rd.Dataset, key_cols, group_fn, num_partitions=None) -> rd.Dataset:
+    """Run ``group_fn`` once per key-hash partition of ``ds`` on a
+    pandas frame of its rows (rows with equal keys are co-located).  A
+    partition may hold no rows; ``group_fn`` then returns a typed empty
+    frame."""
+
+    def run(part, t):
+        return None if t is None else group_fn(t.to_pandas())
+
+    return _exchange([(ds, key_cols)], run, num_partitions)
 
 
 def _keyed_agg(
@@ -162,51 +253,12 @@ def _keyed_agg(
 def _rename(ds: rd.Dataset, mapping: dict) -> rd.Dataset:
     """Column rename that also normalizes blocks to Arrow (Dataset.
     rename_columns projects over raw blocks and breaks on pandas-backed
-    ones; join aggregators want Arrow anyway)."""
+    ones)."""
 
     def r(t: pa.Table) -> pa.Table:
         return t.rename_columns([mapping.get(c, c) for c in t.column_names])
 
     return ds.map_batches(r, batch_format="pyarrow")
-
-
-def _coerce(ds: rd.Dataset, schema: pa.Schema, mapping: dict | None = None) -> rd.Dataset:
-    """Rename + cast every block to a FIXED Arrow schema.
-
-    Ray's sort-based groupby can emit zero-row, zero-COLUMN blocks for
-    empty key ranges; those blocks crash Acero hash joins ("no match
-    for key field").  Joins therefore take their inputs through this
-    stage, which replaces schemaless empties with schema.empty_table()
-    and casts everything else."""
-    mapping = mapping or {}
-
-    def f(t: pa.Table) -> pa.Table:
-        if t.num_columns:
-            t = t.rename_columns([mapping.get(c, c) for c in t.column_names])
-        if t.num_rows == 0:
-            return schema.empty_table()
-        return pa.table(
-            {fld.name: t[fld.name].cast(fld.type) for fld in schema}
-        )
-
-    return ds.map_batches(f, batch_format="pyarrow")
-
-
-def _pa_type(t) -> pa.DataType:
-    """Normalize a Dataset.schema() type to an Arrow DataType (pandas-
-    backed blocks report numpy dtypes / Python classes instead)."""
-    if isinstance(t, pa.DataType):
-        return t
-    if t in (object, str):
-        return pa.string()
-    if t is bytes:
-        return pa.binary()
-    return pa.from_numpy_dtype(np.dtype(t))
-
-
-def _col_type(ds: rd.Dataset, col: str) -> pa.DataType:
-    sch = ds.schema()
-    return _pa_type(dict(zip(sch.names, sch.types))[col])
 
 
 def _hash_join(
@@ -216,72 +268,25 @@ def _hash_join(
     how: str = "inner",
     num_partitions=None,
 ) -> rd.Dataset:
-    """Partition-native hash join: both sides are tagged, hashed on the
-    key columns with the SAME partitioner, shuffled together, and
-    merged per partition with one vectorized pandas merge.
-
-    Exists because Ray's built-in Dataset.join crashes when a hash
-    partition receives rows on one side and zero BLOCKS on the other
-    (its ArrowBlockBuilder yields a zero-column table that Acero
-    rejects) — guaranteed to happen on small or skewed inputs.  This
-    join is also the shape the engine preaches: explicit key
-    co-location + vectorized per-partition work.  Key columns must
+    """Partition-native hash join: one ``_exchange`` of both sides on
+    ``on``, then one vectorized pandas merge per partition.  Key columns
     share names on both sides; non-key column names must not overlap.
-    ``how``: "inner" or "left"."""
-    P = _num_partitions(num_partitions)
+    ``how``: "inner" or "left".  A right side with no rows at all keeps
+    the left rows without right columns for "left" (they are unknowable)
+    and gives no rows for "inner"."""
     on = list(on)
-    lsch, rsch = left.schema(), right.schema()
-    # a fully-empty side reports schema None (e.g. a predicate-pushdown
-    # read that matched nothing); its payload columns are unknowable,
-    # so degrade to the only sound answer of that shape
-    if lsch is None:
-        return left  # zero left rows -> zero join rows
-    if rsch is None:
-        # inner: empty; left: keep left rows (right payload unknowable)
-        return left.limit(0) if how == "inner" else left
-    payload_l = [c for c in lsch.names if c not in on]
-    payload_r = [c for c in rsch.names if c not in on]
-    overlap = set(payload_l) & set(payload_r)
-    if overlap:
-        raise ValueError(f"non-key columns overlap: {overlap}")
-    all_cols = on + payload_l + payload_r
 
-    def prep(side):
-        def f(t: pa.Table) -> pa.Table:
-            n = t.num_rows
-            cols = {}
-            for c in all_cols:
-                if c in t.column_names:
-                    # keep the block's own Arrow type (object columns of
-                    # bytes vs str are indistinguishable in a pandas
-                    # schema; casting by guess corrupts them)
-                    cols[c] = t[c]
-                else:
-                    # untyped nulls: Arrow promotes null->anything when
-                    # blocks concatenate in the shuffle; these columns
-                    # are dropped again before the per-partition merge
-                    cols[c] = pa.nulls(n)
-            key_df = pd.DataFrame({c: t[c].to_pandas() for c in on})
-            cols["_side"] = pa.array(np.full(n, side, dtype=np.int8))
-            cols["_part"] = pa.array(_hash_mod(key_df, on, P), pa.int32())
-            return pa.table(cols)
+    def join_part(part, lt, rt):
+        if lt is None or (rt is None and how == "inner"):
+            return None
+        if rt is None:
+            return lt.to_pandas()
+        overlap = (set(lt.column_names) & set(rt.column_names)) - set(on)
+        if overlap:
+            raise ValueError(f"non-key columns overlap: {overlap}")
+        return lt.to_pandas().merge(rt.to_pandas(), on=on, how=how)
 
-        return f
-
-    tagged = left.map_batches(prep(0), batch_format="pyarrow").union(
-        right.map_batches(prep(1), batch_format="pyarrow")
-    )
-
-    def join_part(t: pa.Table) -> pd.DataFrame:
-        # split sides at the ARROW level and convert separately: each
-        # side's own columns are null-free there, so int64 stays int64
-        # (a pandas conversion of the whole group would see the other
-        # side's null-filled cells and upcast ids to float64)
-        lft = t.filter(pc.equal(t["_side"], 0)).select(on + payload_l).to_pandas()
-        rgt = t.filter(pc.equal(t["_side"], 1)).select(on + payload_r).to_pandas()
-        return lft.merge(rgt, on=on, how="inner" if how == "inner" else "left")
-
-    return tagged.groupby("_part").map_groups(join_part, batch_format="pyarrow")
+    return _exchange([(left, on), (right, on)], join_part, num_partitions)
 
 
 def doc_stats_by_source(sf_dir) -> rd.Dataset:
@@ -544,18 +549,23 @@ def word_frequencies(sf_dir, k: int = 50, num_partitions=None) -> pd.DataFrame:
         g.columns = ["word", "n"]
         return g
 
-    def combine_topk(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("word", as_index=False).agg(n=("n", "sum"))
-        g = g.sort_values(["n", "word"], ascending=[False, True])
-        return g.head(k)
+    return _top_counts(ds, partial, "word", k, num_partitions)
 
-    cand = _keyed_agg(ds, partial, combine_topk, ["word"], num_partitions)
-    agg = cand.to_pandas()
-    if "word" not in agg.columns:  # empty corpus
-        return pd.DataFrame({"word": pd.Series(dtype=object),
-                             "n": pd.Series(dtype="int64")})
-    agg = agg.sort_values(["n", "word"], ascending=[False, True], ignore_index=True)
-    return agg.head(k).astype({"n": "int64"})
+
+def _top_counts(ds, partial, key: str, k: int, num_partitions) -> pd.DataFrame:
+    """Global top-k of the (key, n) counts ``partial`` emits per batch:
+    keyed combine + top-k per key-hash partition, then the driver merges
+    only P*k candidate rows.  Ties break to the smaller key."""
+    order = dict(by=["n", key], ascending=[False, True])
+
+    def combine_topk(df: pd.DataFrame) -> pd.DataFrame:
+        g = df.groupby(key, as_index=False).agg(n=("n", "sum"))
+        return g.sort_values(**order).head(k)
+
+    agg = _keyed_agg(ds, partial, combine_topk, [key], num_partitions).to_pandas()
+    if key not in agg.columns:  # empty corpus
+        return pd.DataFrame({key: pd.Series(dtype=object), "n": pd.Series(dtype="int64")})
+    return agg.sort_values(**order, ignore_index=True).head(k).astype({"n": "int64"})
 
 
 def normalized_text(sf_dir) -> rd.Dataset:
@@ -606,12 +616,8 @@ def exact_dedup(sf_dir, num_partitions=None) -> rd.Dataset:
 
     Scale shape: the shuffle key is the RAW 16-byte md5 digest (binary,
     half the bytes of the hex form), never the text; per-batch partial
-    shrink first; the partition id is an int32 sliced straight out of
-    the digest's first 8 bytes (no second hashing pass, and the sort
-    shuffle orders by a small int column instead of strings); the
-    combine runs once per key-hash PARTITION, so no worker ever holds
-    the full distinct-hash set."""
-    P = _num_partitions(num_partitions)
+    shrink first; the combine runs once per key-hash PARTITION, so no
+    worker ever holds the full distinct-hash set."""
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
     def partial(t: pa.Table) -> pa.Table:
@@ -623,29 +629,23 @@ def exact_dedup(sf_dir, num_partitions=None) -> rd.Dataset:
         g = df.groupby("h", as_index=False, sort=False).agg(
             doc_id=("doc_id", "min")
         )
-        raw = np.frombuffer(b"".join(g["h"]), dtype="<u8")[::2]
-        part = (raw % np.uint64(P)).astype(np.int32)
         return pa.table(
             {
-                "_part": pa.array(part, pa.int32()),
                 "h": pa.array(list(g["h"]), pa.binary(16)),
                 "doc_id": pa.array(g["doc_id"].to_numpy(), pa.int64()),
             }
         )
 
-    def combine(g: pd.DataFrame) -> pd.DataFrame:
-        out = g.groupby("h", as_index=False, sort=False).agg(
+    def combine(part, t):
+        if t is None:  # empty corpus: a typed empty result
+            return pa.table({"doc_id": pa.array([], pa.int64())})
+        out = t.to_pandas().groupby("h", as_index=False, sort=False).agg(
             doc_id=("doc_id", "min")
         )
         return out[["doc_id"]]
 
     partials = ds.map_batches(partial, batch_format="pyarrow")
-    deduped = partials.groupby("_part").map_groups(
-        combine, batch_format="pandas"
-    )
-    # pin the schema: the sort-groupby emits zero-column empties for
-    # empty key ranges, which otherwise poison downstream unification
-    return _coerce(deduped, pa.schema([("doc_id", pa.int64())]))
+    return _exchange([(partials, ["h"])], combine, num_partitions)
 
 
 _MINHASH_PERMS = 128
@@ -774,7 +774,7 @@ def minhash_candidates(sf_dir, cap=64, num_partitions=None) -> rd.Dataset:
     """MinHash-LSH candidate pairs: shingle -> 128-perm signature ->
     32 bands -> bucket by (band, band_hash) -> pairs within a bucket.
     Returns a Dataset[(a, b, n_bands)] — nothing ever lands on the
-    driver (use :func:`minhash_candidates_df` for a driver DataFrame).
+    driver.
 
     Partition-native: band rows are hash-partitioned on the bucket key,
     each partition self-joins its own duplicated buckets (vectorized
@@ -840,56 +840,29 @@ def minhash_candidates(sf_dir, cap=64, num_partitions=None) -> rd.Dataset:
     return _partition_apply(pair_partials, ["a", "b"], comb, num_partitions)
 
 
-_PAIRS_EMPTY = pd.DataFrame(
-    {
-        "a": pd.Series(dtype="int64"),
-        "b": pd.Series(dtype="int64"),
-        "n_bands": pd.Series(dtype="int64"),
-    }
-)
+def _shingle_prep(bits_ref, id_col: str, sh_col: str):
+    """Per-block prep of a verification join side: documents ->
+    (id_col, sh_col) with each doc's packed little-endian uint64 shingle
+    hashes, for the docs that pass the broadcast Bloom filter of
+    candidate ids.  Non-members never get shingled or shuffled; Bloom
+    false positives shingle a few extra docs that the exact join drops,
+    and false negatives don't exist.  It runs inside the exchange's tag
+    map, so a block the filter empties still arrives typed."""
 
-
-def minhash_candidates_df(sf_dir, cap=64, num_partitions=None) -> pd.DataFrame:
-    """Driver-side convenience: collected + deterministically sorted
-    candidate pairs (bounded by O(dup pairs) per the LSH contract)."""
-    out = minhash_candidates(sf_dir, cap, num_partitions).to_pandas()
-    if len(out) == 0:
-        return _PAIRS_EMPTY.copy()
-    return out.sort_values(["a", "b"], ignore_index=True)
-
-
-def _shingle_table(sf_dir, keep_ids=None, num_partitions=None) -> rd.Dataset:
-    """documents -> (doc_id, sh: list<uint64>) — the join-back side for
-    distributed Jaccard verification.  ``keep_ids`` (Dataset[doc_id])
-    prunes the raw read with a broadcast Bloom filter BEFORE shingling
-    — MAP-ONLY (no extra shuffle: the downstream joins are exact, so
-    Bloom false positives merely shingle a few extra docs and then
-    drop; false negatives don't exist).  Non-members never get
-    shingled or shuffled."""
-    ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    if keep_ids is not None:
-        bits_ref = ray.put(_bloom_build(keep_ids, "doc_id", 1 << 20))
-
-        def prefilter(df: pd.DataFrame) -> pd.DataFrame:
-            return df[_bloom_test(ray.get(bits_ref), df["doc_id"])]
-
-        ds = ds.map_batches(prefilter, batch_format="pandas")
-
-    def f(t: pa.Table) -> pa.Table:
+    def prep(t: pa.Table) -> pa.Table:
+        t = t.filter(pa.array(_bloom_test(ray.get(bits_ref), t["doc_id"].to_pandas())))
         sh = _batch_shingle_hashes(t["text"].to_pylist())
-        # packed little-endian uint64 bytes: Ray's hash join supports
-        # binary payload columns but not list<uint64>
         return pa.table(
             {
-                "doc_id": t["doc_id"],
-                "sh": pa.array(
+                id_col: t["doc_id"],
+                sh_col: pa.array(
                     [np.ascontiguousarray(a, dtype="<u8").tobytes() for a in sh],
                     pa.binary(),
                 ),
             }
         )
 
-    return ds.map_batches(f, batch_format="pyarrow")
+    return prep
 
 
 def _jaccard_verify(
@@ -898,24 +871,35 @@ def _jaccard_verify(
     """Exact shingle-Jaccard verification of LSH candidate pairs.
 
     Joins the candidate pairs back to per-doc shingle-hash sets (two
-    hash joins on doc id — never a driver-side structure) and keeps
+    exchanges on doc id — never a driver-side structure) and keeps
     pairs with ``100 * |A∩B| >= thr * |A∪B|``.  Returns
     Dataset[(a, b, n_inter, n_union)] — the set sizes are integers, so
     the result is exactly comparable to a DuckDB string-shingle twin
     (no float summation-order hazard)."""
-    P = _num_partitions(num_partitions)
     # 100 TB shape: candidate pairs are a vanishing fraction of the
     # corpus, so computing/shuffling EVERY document's shingle set to
     # verify a few pairs is the wrong exchange.  Broadcast-Bloom
-    # semi-join the documents down to pair members first (no false
-    # negatives; false positives die in the joins), then shingle only
-    # those.  cand is consumed twice (ids + join) -> materialize.
+    # semi-join the documents down to pair members first, then shingle
+    # only those.  cand is consumed twice (ids + join) -> materialize.
     cand = cand.materialize()
-    # cost-based partition count for the verify joins: the pair set is
-    # KNOWN once materialized (count is free), so don't fan a few
-    # hundred rows across cpu-count partitions of empty merge tasks;
-    # big pair sets keep the caller's parallelism
-    P = max(8, min(P, (cand.count() + 499) // 500))
+    n_cand = cand.count()  # free once materialized
+    if n_cand == 0:
+        id_type = _clean_schema(_path(sf_dir, "documents"), ["doc_id"])[0].type
+        return rd.from_arrow(
+            pa.table(
+                {
+                    "a": pa.array([], id_type),
+                    "b": pa.array([], id_type),
+                    "n_inter": pa.array([], pa.int64()),
+                    "n_union": pa.array([], pa.int64()),
+                }
+            )
+        )
+    # cost-based partition count: one partition per 500 pairs, at most
+    # the caller's; the pairs are re-blocked to match, so no block is
+    # empty (a map passes an empty block on as a schema change)
+    P = max(1, min(_num_partitions(num_partitions), n_cand // 500))
+    pairs = cand.repartition(P)
 
     def pair_ids(t: pa.Table) -> pa.Table:
         both = pa.concat_arrays(
@@ -923,18 +907,23 @@ def _jaccard_verify(
         )
         return pa.table({"doc_id": both.unique()})
 
-    ids = cand.map_batches(pair_ids, batch_format="pyarrow")
-    sh = _shingle_table(sf_dir, keep_ids=ids, num_partitions=P)
-    pairs_ds = cand.select_columns(["a", "b"])
-    j1 = _hash_join(
-        pairs_ds, _rename(sh, {"doc_id": "a", "sh": "sh_a"}), ("a",), "inner", P
+    bits_ref = ray.put(
+        _bloom_build(pairs.map_batches(pair_ids, batch_format="pyarrow"), "doc_id", 1 << 20)
     )
-    j2 = _hash_join(
-        j1, _rename(sh, {"doc_id": "b", "sh": "sh_b"}), ("b",), "inner", P
+    docs = _read(sf_dir, "documents", ["doc_id", "text"])
+
+    def attach_a(part, pt, st):
+        return pt.select(["a", "b"]).join(st, "a", join_type="inner")
+
+    j1 = _exchange(
+        [(pairs, ["a"]), (docs, ["a"], _shingle_prep(bits_ref, "a", "sh_a"))],
+        attach_a,
+        P,
     )
     thr = jaccard_threshold_pct
 
-    def verify(t: pa.Table) -> pa.Table:
+    def verify(part, jt, st):
+        t = jt.join(st, "b", join_type="inner")
         a_keep, b_keep, inters, unions = [], [], [], []
         for a, b, sa_buf, sb_buf in zip(
             t["a"].to_pylist(),
@@ -962,7 +951,11 @@ def _jaccard_verify(
             }
         )
 
-    return j2.map_batches(verify, batch_format="pyarrow")
+    return _exchange(
+        [(j1, ["b"]), (docs, ["b"], _shingle_prep(bits_ref, "b", "sh_b"))],
+        verify,
+        P,
+    )
 
 
 def minhash_pairs(
@@ -1016,11 +1009,6 @@ def _cc_distributed(
     merge with current labels, stop when no label changed.  Rounds ~
     O(component diameter); near-dup clusters are shallow."""
     P = _num_partitions(num_partitions)
-    aty = _col_type(edges, "a")
-    node_schema = pa.schema([("node", aty), ("label", aty)])
-    src_schema = pa.schema([("src", aty), ("label", aty)])
-    cand_schema = pa.schema([("node", aty), ("cand", aty)])
-    edge_schema = pa.schema([("src", aty), ("dst", aty)])
 
     def both_dirs(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
@@ -1030,9 +1018,7 @@ def _cc_distributed(
             }
         )
 
-    dedges = _coerce(
-        edges.map_batches(both_dirs, batch_format="pandas"), edge_schema
-    ).materialize()
+    dedges = edges.map_batches(both_dirs, batch_format="pandas").materialize()
 
     def distinct_nodes(g: pd.DataFrame) -> pd.DataFrame:
         out = g[["src"]].drop_duplicates()
@@ -1040,18 +1026,10 @@ def _cc_distributed(
         out["label"] = out["node"]
         return out
 
-    labels = _coerce(
-        _partition_apply(dedges, ["src"], distinct_nodes, P), node_schema
-    ).materialize()
+    labels = _partition_apply(dedges, ["src"], distinct_nodes, P).materialize()
 
     for _ in range(max_iter):
-        j = _hash_join(
-            dedges,
-            _coerce(labels, src_schema, {"node": "src"}),
-            ("src",),
-            "inner",
-            P,
-        )
+        j = _hash_join(dedges, _rename(labels, {"node": "src"}), ("src",), "inner", P)
 
         def min_in_partial(df: pd.DataFrame) -> pd.DataFrame:
             return df.groupby("dst", as_index=False).agg(cand=("label", "min"))
@@ -1067,11 +1045,7 @@ def _cc_distributed(
             P,
         )
         merged = _hash_join(
-            _coerce(labels, node_schema),
-            _coerce(cand, cand_schema, {"dst": "node"}),
-            ("node",),
-            "left",
-            P,
+            labels, _rename(cand, {"dst": "node"}), ("node",), "left", P
         )
 
         def update(df: pd.DataFrame) -> pd.DataFrame:
@@ -1106,8 +1080,7 @@ def minhash_dedup(
     Scale shape: candidate pairs are joined BACK to per-doc shingle-hash
     sets by doc_id (two hash joins) and verified in distributed tasks —
     no whole-corpus structure is ever built on the driver, and the final
-    assignment stays a Dataset (write it to a sink, or use
-    :func:`minhash_dedup_df` as a small-scale driver convenience); the
+    assignment stays a Dataset (write it to a sink); the
     only driver-held state is O(verified pairs), and only on the
     union-find path.  Components run driver-side union-find while the
     verified-pair count is small (<= cc_driver_max_pairs); above that
@@ -1149,17 +1122,8 @@ def minhash_dedup(
     else:
         labels = _cc_distributed(verified, P)
 
-    id_ty = _col_type(ids, "doc_id")
     joined = _hash_join(
-        ids,
-        _coerce(
-            labels,
-            pa.schema([("doc_id", id_ty), ("label", id_ty)]),
-            {"node": "doc_id"},
-        ),
-        ("doc_id",),
-        "left",
-        P,
+        ids, _rename(labels, {"node": "doc_id"}), ("doc_id",), "left", P
     )
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
@@ -1168,15 +1132,6 @@ def minhash_dedup(
         return pd.DataFrame({"doc_id": df["doc_id"], "cluster_id": lab})
 
     return joined.map_batches(finish, batch_format="pandas")
-
-
-def minhash_dedup_df(sf_dir, **kw) -> pd.DataFrame:
-    """Driver-side convenience: collected + sorted cluster assignment
-    (small corpora / tests only — O(n_docs) rows on the driver)."""
-    out = minhash_dedup(sf_dir, **kw).to_pandas()
-    if "doc_id" not in out.columns:  # empty corpus
-        return pd.DataFrame({"doc_id": [], "cluster_id": []})
-    return out.sort_values("doc_id", ignore_index=True)
 
 
 class SimHashActor:
@@ -1296,6 +1251,48 @@ def _stack_embeddings(col) -> np.ndarray:
     return np.stack([np.asarray(v, dtype=np.float64) for v in col])
 
 
+def _hyperplane_coded(sf_dir, seed: int, n_planes: int, n_tables: int, batch_size: int):
+    """embeddings -> (vec_id, bucket, embedding), one row per vector and
+    table: the vector's code under each of ``n_tables`` deterministic
+    seeded hyperplane sets, offset so buckets never collide across
+    tables.  Arrow in/out: the embedding column is REUSED zero-copy in
+    each replica instead of boxing every vector into a pandas object
+    cell ``n_tables`` times before the shuffle."""
+    pow2 = 1 << np.arange(n_planes)
+
+    class Coder:
+        def __init__(self):
+            self.planes = None
+
+        def __call__(self, t: pa.Table) -> pa.Table:
+            col = t["embedding"].combine_chunks()
+            M = _stack_embeddings(col)
+            if self.planes is None:
+                self.planes = [
+                    np.random.RandomState(seed + tb).normal(size=(M.shape[1], n_planes))
+                    for tb in range(n_tables)
+                ]
+            Mn = _normalize_rows(M)
+            tabs = []
+            for tb, pl in enumerate(self.planes):
+                code = ((Mn @ pl) > 0) @ pow2 + tb * (1 << n_planes)
+                tabs.append(
+                    pa.table(
+                        {
+                            "vec_id": t["vec_id"],
+                            "bucket": pa.array(code.astype(np.int64)),
+                            "embedding": col,
+                        }
+                    )
+                )
+            return pa.concat_tables(tabs)
+
+    ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
+    return ds.map_batches(
+        Coder, batch_format="pyarrow", batch_size=batch_size, concurrency=(1, 8)
+    )
+
+
 def embedding_near_dups(
     sf_dir, threshold_pct=95, n_planes=6, n_tables=8, num_partitions=None
 ) -> rd.Dataset:
@@ -1310,46 +1307,7 @@ def embedding_near_dups(
     ~1-(1-0.53)^8 > 0.99 (hyperplane collision (1-theta/pi)^planes).
     Embeddings are shipped n_tables times through the shuffle — the
     standard multi-table LSH cost, still O(N), vs O(N^2) compute."""
-    ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    pow2 = 1 << np.arange(n_planes)
-    n_buckets = 1 << n_planes
-
-    class MultiCoder:
-        def __init__(self):
-            self.planes = None
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            # Arrow in/out: the embedding column is REUSED zero-copy in
-            # each of the n_tables replicas instead of boxing every
-            # vector into a pandas object cell 8x before the shuffle
-            col = t["embedding"].combine_chunks()
-            M = _stack_embeddings(col)
-            if self.planes is None:
-                self.planes = [
-                    np.random.RandomState(0xBEEF00 + tb).normal(
-                        size=(M.shape[1], n_planes)
-                    )
-                    for tb in range(n_tables)
-                ]
-            Mn = _normalize_rows(M)
-            vec = t["vec_id"]
-            tabs = []
-            for tb, pl in enumerate(self.planes):
-                code = ((Mn @ pl) > 0) @ pow2 + tb * n_buckets
-                tabs.append(
-                    pa.table(
-                        {
-                            "vec_id": vec,
-                            "bucket": pa.array(code.astype(np.int64)),
-                            "embedding": col,
-                        }
-                    )
-                )
-            return pa.concat_tables(tabs)
-
-    coded = ds.map_batches(
-        MultiCoder, batch_format="pyarrow", batch_size=1024, concurrency=(1, 8)
-    )
+    coded = _hyperplane_coded(sf_dir, 0xBEEF00, n_planes, n_tables, 1024)
 
     def bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
         a_out, b_out = [], []
@@ -1390,15 +1348,29 @@ def embedding_near_dups(
     return _partition_apply(partials, ["a", "b"], distinct, num_partitions)
 
 
-def embedding_near_dups_df(sf_dir, **kw) -> pd.DataFrame:
-    """Driver-side convenience for :func:`embedding_near_dups`
-    (bounded by O(near-dup pairs))."""
-    out = embedding_near_dups(sf_dir, **kw).to_pandas()
-    if "a" not in out.columns or len(out) == 0:
-        return pd.DataFrame(
-            {"a": pd.Series(dtype="int64"), "b": pd.Series(dtype="int64")}
+def _rank_per_query(partial: rd.Dataset, k: int, num_partitions) -> pd.DataFrame:
+    """Per-query top-k from (query_id, neighbor_id, sim) candidates that
+    several buckets or lists may repeat: dedupe + rank per query-hash
+    partition (ties to the smaller neighbor id); the driver only sorts
+    the final rows."""
+
+    def merge_query(df: pd.DataFrame) -> pd.DataFrame:
+        df = df.drop_duplicates(["query_id", "neighbor_id"])
+        df = df.sort_values(
+            ["query_id", "sim", "neighbor_id"],
+            ascending=[True, False, True],
+            kind="mergesort",
         )
-    return out.sort_values(["a", "b"], ignore_index=True).astype("int64")
+        top = df.groupby("query_id", sort=False).head(k).copy()
+        top["rank"] = top.groupby("query_id").cumcount() + 1
+        return top[["query_id", "neighbor_id", "rank"]]
+
+    res = _partition_apply(partial, ["query_id"], merge_query, num_partitions).to_pandas()
+    if len(res) == 0:
+        return pd.DataFrame(
+            {c: pd.Series(dtype="int64") for c in ("query_id", "neighbor_id", "rank")}
+        )
+    return res.sort_values(["query_id", "rank"], ignore_index=True).astype("int64")
 
 
 def ann_topk_lsh(
@@ -1413,44 +1385,7 @@ def ann_topk_lsh(
     lands on the driver; multiple tables recover the recall a single
     hyperplane code loses.  Approximate by construction — quality is
     judged by recall vs the brute-force baseline (see tests)."""
-    ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    pow2 = 1 << np.arange(n_planes)
-    n_buckets = 1 << n_planes
-
-    class Coder:
-        def __init__(self):
-            self.planes = None
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            # Arrow in/out (same zero-copy replica trick as MultiCoder)
-            col = t["embedding"].combine_chunks()
-            M = _stack_embeddings(col)
-            if self.planes is None:
-                self.planes = [
-                    np.random.RandomState(0xA11CE0 + tb).normal(
-                        size=(M.shape[1], n_planes)
-                    )
-                    for tb in range(n_tables)
-                ]
-            Mn = _normalize_rows(M)
-            vec = t["vec_id"]
-            tabs = []
-            for tb, pl in enumerate(self.planes):
-                code = ((Mn @ pl) > 0) @ pow2 + tb * n_buckets
-                tabs.append(
-                    pa.table(
-                        {
-                            "vec_id": vec,
-                            "bucket": pa.array(code.astype(np.int64)),
-                            "embedding": col,
-                        }
-                    )
-                )
-            return pa.concat_tables(tabs)
-
-    coded = ds.map_batches(
-        Coder, batch_format="pyarrow", batch_size=4096, concurrency=(1, 8)
-    )
+    coded = _hyperplane_coded(sf_dir, 0xA11CE0, n_planes, n_tables, 4096)
 
     _empty = {
         "query_id": pd.Series(dtype="int64"),
@@ -1484,26 +1419,7 @@ def ann_topk_lsh(
 
     partial = _partition_apply(coded, ["bucket"], bucket_topk, num_partitions)
 
-    def merge_query(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.drop_duplicates(["query_id", "neighbor_id"])
-        df = df.sort_values(
-            ["query_id", "sim", "neighbor_id"],
-            ascending=[True, False, True],
-            kind="mergesort",
-        )
-        top = df.groupby("query_id", sort=False).head(k).copy()
-        top["rank"] = top.groupby("query_id").cumcount() + 1
-        return top[["query_id", "neighbor_id", "rank"]]
-
-    out = _partition_apply(partial, ["query_id"], merge_query, num_partitions)
-    res = out.to_pandas()
-    if len(res) == 0:
-        return pd.DataFrame(
-            {c: pd.Series(dtype="int64") for c in ("query_id", "neighbor_id", "rank")}
-        )
-    return res.sort_values(
-        ["query_id", "rank"], ignore_index=True
-    ).astype("int64")
+    return _rank_per_query(partial, k, num_partitions)
 
 
 # ---------------------------------------------------------------------------
@@ -1670,9 +1586,7 @@ def orders_by_nation(sf_dir) -> rd.Dataset:
     def combine(df: pd.DataFrame) -> pd.DataFrame:
         return df.groupby("n_name", as_index=False).agg(n_orders=("n", "sum"))
 
-    return partials.repartition(1).map_batches(
-        combine, batch_format="pandas", batch_size=None
-    )
+    return _tree_agg(partials, None, combine)
 
 
 def filtered_corpus(
@@ -1782,7 +1696,6 @@ def dup_group_histogram(sf_dir, num_partitions=None) -> rd.Dataset:
     Scale shape: per-batch digest shrink -> per hash-partition group
     counts (a group's copies co-locate) -> per-partition histogram ->
     one tiny final combine over P histograms."""
-    P = _num_partitions(num_partitions)
     ds = _read(sf_dir, "documents", ["text"])
 
     def partial(t: pa.Table) -> pa.Table:
@@ -1792,12 +1705,8 @@ def dup_group_histogram(sf_dir, num_partitions=None) -> rd.Dataset:
         ]
         df = pd.DataFrame({"h": digests})
         g = df.groupby("h", as_index=False, sort=False).size()
-        raw = np.frombuffer(b"".join(g["h"]), dtype="<u8")[::2]
         return pa.table(
             {
-                "_part": pa.array(
-                    (raw % np.uint64(P)).astype(np.int32), pa.int32()
-                ),
                 "h": pa.array(list(g["h"]), pa.binary(16)),
                 "n": pa.array(g["size"].astype("int64"), pa.int64()),
             }
@@ -1809,10 +1718,9 @@ def dup_group_histogram(sf_dir, num_partitions=None) -> rd.Dataset:
         hist.columns = ["n_copies", "n_groups"]
         return hist.astype({"n_copies": "int64", "n_groups": "int64"})
 
-    per_part = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(combine, batch_format="pandas")
+    per_part = _partition_apply(
+        ds.map_batches(partial, batch_format="pyarrow"), ["h"], combine,
+        num_partitions,
     )
 
     def final(df: pd.DataFrame) -> pd.DataFrame:
@@ -1912,15 +1820,15 @@ def pack_sequences(sf_dir, seq_len: int = 2048, num_partitions=None) -> rd.Datas
 
     toks = ds.map_batches(lengths, batch_format="pyarrow")
 
-    def pack(g: pd.DataFrame) -> pd.DataFrame:
+    def pack(part: int, t):
         # pack_id prefix = the hash-partition id itself (unique per
         # partition by construction) — a re-hash of the first doc_id
         # could collide across partitions (birthday at ~1e3 partitions)
-        part = int(g["_part"].iloc[0])
-        g = g.drop(columns=["_part"])
+        if t is None:
+            return None
         rows = []  # (n_docs, n_tokens)
         pool = []
-        for n in g["n_tok"].to_numpy():
+        for n in t["n_tok"].to_numpy():
             n = int(n)
             full, rem = divmod(n, seq_len)
             rows.extend([(1, seq_len)] * full)
@@ -1940,14 +1848,18 @@ def pack_sequences(sf_dir, seq_len: int = 2048, num_partitions=None) -> rd.Datas
         rows.extend((nd, nt) for nt, nd in bins)
         return pd.DataFrame(
             {
-                "pack_id": [f"{part:06d}-{i:06d}" for i in range(len(rows))],
-                "n_docs": [nd for nd, _ in rows],
-                "n_tokens": [nt for _, nt in rows],
-                "fill_pct": [round(100 * nt / seq_len, 2) for _, nt in rows],
+                "pack_id": pd.Series(
+                    [f"{part:06d}-{i:06d}" for i in range(len(rows))], dtype=object
+                ),
+                "n_docs": pd.Series([nd for nd, _ in rows], dtype="int64"),
+                "n_tokens": pd.Series([nt for _, nt in rows], dtype="int64"),
+                "fill_pct": pd.Series(
+                    [round(100 * nt / seq_len, 2) for _, nt in rows], dtype="float64"
+                ),
             }
         )
 
-    return _partition_apply(toks, ["doc_id"], pack, num_partitions, keep_part=True)
+    return _exchange([(toks, ["doc_id"])], pack, num_partitions)
 
 
 # ---------------------------------------------------------------------------
@@ -2149,26 +2061,7 @@ def ann_topk_ivf(
 
     partial = _partition_apply(assigned, ["list_id"], list_topk, num_partitions)
 
-    def merge_query(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.drop_duplicates(["query_id", "neighbor_id"])
-        df = df.sort_values(
-            ["query_id", "sim", "neighbor_id"],
-            ascending=[True, False, True],
-            kind="mergesort",
-        )
-        top = df.groupby("query_id", sort=False).head(k).copy()
-        top["rank"] = top.groupby("query_id").cumcount() + 1
-        return top[["query_id", "neighbor_id", "rank"]]
-
-    out = _partition_apply(partial, ["query_id"], merge_query, num_partitions)
-    res = out.to_pandas()
-    if len(res) == 0:
-        return pd.DataFrame(
-            {c: pd.Series(dtype="int64") for c in ("query_id", "neighbor_id", "rank")}
-        )
-    return res.sort_values(
-        ["query_id", "rank"], ignore_index=True
-    ).astype("int64")
+    return _rank_per_query(partial, k, num_partitions)
 
 
 # ---------------------------------------------------------------------------
@@ -2200,55 +2093,21 @@ def asof_join(
     payload columns should pass a unique tiebreak column — otherwise
     the tie winner would depend on block arrival order.
 
-    Partitioning assumption (same as ``_hash_join``): non-key column
-    names must not collide across sides; skew on the by-key concentrates
-    in single partitions — acceptable while every by-group fits a
-    worker, which holds for per-user/per-entity history tables."""
-    P = _num_partitions(num_partitions)
-    lsch, rsch = left.schema(), right.schema()
-    lcols = list(lsch.names)
-    rcols = list(rsch.names)
-    overlap = set(lcols) & set(rcols)
-    if overlap:
-        raise ValueError(f"column names overlap across sides: {overlap}")
-    all_cols = lcols + rcols
-    # padding the absent side with TYPED nulls (not pa.nulls' null type)
-    # keeps every shuffled block on the real schema, so a partition
-    # holding only one side still converts to correctly-typed (empty)
-    # pandas frames that merge_asof accepts
-    types = {c: _pa_type(t) for c, t in zip(lsch.names, lsch.types)}
-    types.update({c: _pa_type(t) for c, t in zip(rsch.names, rsch.types)})
-
-    def prep(side, by_col):
-        def f(t: pa.Table) -> pa.Table:
-            n = t.num_rows
-            cols = {}
-            for c in all_cols:
-                cols[c] = (
-                    t[c]
-                    if c in t.column_names
-                    else pa.nulls(n, type=types[c])
-                )
-            key_df = pd.DataFrame({by_col: t[by_col].to_pandas()})
-            cols["_side"] = pa.array(np.full(n, side, dtype=np.int8))
-            cols["_part"] = pa.array(_hash_mod(key_df, [by_col], P), pa.int32())
-            return pa.table(cols)
-
-        return f
-
-    tagged = left.map_batches(prep(0, left_by), batch_format="pyarrow").union(
-        right.map_batches(prep(1, right_by), batch_format="pyarrow")
-    )
+    Column names must not collide across sides; skew on the by-key
+    concentrates in single partitions — acceptable while every by-group
+    fits a worker, which holds for per-user/per-entity history tables.
+    A side with no rows at all gives no output rows (the other side's
+    columns are unknowable)."""
     tiebreak = list(right_tiebreak)
 
-    def join_part(t: pa.Table) -> pd.DataFrame:
-        # split sides at the Arrow level (see _hash_join: a whole-group
-        # pandas conversion would let one side's null padding upcast the
-        # other side's int64 ids to float64)
-        lft = t.filter(pc.equal(t["_side"], 0)).select(lcols).to_pandas()
-        rgt = t.filter(pc.equal(t["_side"], 1)).select(rcols).to_pandas()
-        lft = lft.sort_values(left_on, kind="mergesort", ignore_index=True)
-        rgt = rgt.sort_values(
+    def join_part(part, lt, rt):
+        if lt is None or rt is None:
+            return None
+        overlap = set(lt.column_names) & set(rt.column_names)
+        if overlap:
+            raise ValueError(f"column names overlap across sides: {overlap}")
+        lft = lt.to_pandas().sort_values(left_on, kind="mergesort", ignore_index=True)
+        rgt = rt.to_pandas().sort_values(
             [right_on, *tiebreak], kind="mergesort", ignore_index=True
         )
         return pd.merge_asof(
@@ -2261,7 +2120,9 @@ def asof_join(
             direction="backward",
         )
 
-    return tagged.groupby("_part").map_groups(join_part, batch_format="pyarrow")
+    return _exchange(
+        [(left, [left_by]), (right, [right_by])], join_part, num_partitions
+    )
 
 
 def last_order_asof(sf_dir, num_partitions=None) -> rd.Dataset:
@@ -2284,21 +2145,7 @@ def last_order_asof(sf_dir, num_partitions=None) -> rd.Dataset:
     )
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
-        # Ray's sort-based groupby can emit zero-row zero-COLUMN blocks
-        # for empty key ranges (see _coerce) — treat those as empty
-        if "o_orderkey" in df.columns:
-            df = df[df["o_orderkey"].notna()]
-        else:
-            df = df.iloc[0:0]
-        if len(df) == 0:
-            return pd.DataFrame(
-                {
-                    "event_id": pd.Series(dtype="int64"),
-                    "user_id": pd.Series(dtype="int64"),
-                    "last_order_key": pd.Series(dtype="int64"),
-                    "last_order_date": pd.Series(dtype=object),
-                }
-            )
+        df = df[df["o_orderkey"].notna()]
         return pd.DataFrame(
             {
                 "event_id": df["event_id"].astype("int64"),
@@ -2440,20 +2287,7 @@ def top_bigrams(sf_dir, k: int = 50, num_partitions=None) -> pd.DataFrame:
         g.columns = ["bigram", "n"]
         return g
 
-    def combine_topk(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("bigram", as_index=False).agg(n=("n", "sum"))
-        g = g.sort_values(["n", "bigram"], ascending=[False, True])
-        return g.head(k)
-
-    cand = _keyed_agg(ds, partial, combine_topk, ["bigram"], num_partitions)
-    agg = cand.to_pandas()
-    if "bigram" not in agg.columns:  # empty corpus
-        return pd.DataFrame({"bigram": pd.Series(dtype=object),
-                             "n": pd.Series(dtype="int64")})
-    agg = agg.sort_values(
-        ["n", "bigram"], ascending=[False, True], ignore_index=True
-    )
-    return agg.head(k).astype({"n": "int64"})
+    return _top_counts(ds, partial, "bigram", k, num_partitions)
 
 
 def segment_dedup(sf_dir, seg_words: int = 10, num_partitions=None) -> rd.Dataset:
@@ -2956,6 +2790,8 @@ def _bloom_build(keys_ds: rd.Dataset, on: str, n_bits: int) -> np.ndarray:
         return pd.DataFrame({"bits": [bits.tobytes()]})
 
     merged = _tree_agg(keys_ds, partial).to_pandas()
+    if merged.empty:  # no keys: nothing may pass
+        return np.zeros(n_bits // 8, dtype=np.uint8)
     return np.frombuffer(merged["bits"].iloc[0], dtype=np.uint8)
 
 
@@ -2975,7 +2811,6 @@ def _semi_anti_join(
     on: str,
     anti: bool = False,
     num_partitions=None,
-    bloom_bits: int | None = None,
 ) -> rd.Dataset:
     """Distributed semi-join (``anti=False``: keep left rows whose key
     EXISTS on the right) / anti-join (``anti=True``: keep left rows
@@ -2983,76 +2818,25 @@ def _semi_anti_join(
 
     The right side is reduced to DISTINCT keys per batch before the
     exchange, so the shuffle moves one slim key column regardless of
-    right-side width or duplication; both sides are hash-co-located on
-    ``on`` with the same partitioner as ``_hash_join`` and each
-    partition filters its left rows with ONE vectorized ``isin``.
-    Never materializes a join product — the output is a subset of the
-    left input, which is what EXISTS semantics mean.  Scale story:
-    one shuffle total, per-partition memory is the partition's left
-    rows + its distinct right keys.
-
-    ``bloom_bits`` (semi-join only) enables the classic runtime-filter
-    pushdown for selective joins: a Bloom filter over the right keys
-    is built distributively, broadcast once, and probed per left batch
-    BEFORE the exchange, so non-matching left rows never enter the
-    shuffle.  Results are bit-identical — the bloom has no false
-    negatives and its false positives die in the exact per-partition
-    ``isin``.  (Meaningless for anti: every left row must reach the
-    exact check anyway.)"""
-    P = _num_partitions(num_partitions)
-    lsch = left.schema()
-    if lsch is None:  # empty left: nothing to keep either way
-        return left
-    if bloom_bits is not None and not anti:
-        keys_only = right_keys.map_batches(
-            lambda t: pa.table({on: t[on].unique()}), batch_format="pyarrow"
-        )
-        bits_ref = ray.put(_bloom_build(keys_only, on, bloom_bits))
-
-        def prefilter(df: pd.DataFrame) -> pd.DataFrame:
-            return df[_bloom_test(ray.get(bits_ref), df[on])]
-
-        left = left.map_batches(prefilter, batch_format="pandas")
-    payload = [c for c in lsch.names if c != on]
-    all_cols = [on] + payload
-
-    def prep(side):
-        def f(t: pa.Table) -> pa.Table:
-            if side == 1:
-                # distinct keys only: slims both the batch and the shuffle
-                t = t.select([on])
-                keys = t[on].unique()
-                t = pa.table({on: keys})
-            n = t.num_rows
-            cols = {}
-            for c in all_cols:
-                cols[c] = t[c] if c in t.column_names else pa.nulls(n)
-            key_df = pd.DataFrame({on: t[on].to_pandas()})
-            cols["_side"] = pa.array(np.full(n, side, dtype=np.int8))
-            cols["_part"] = pa.array(_hash_mod(key_df, [on], P), pa.int32())
-            return pa.table(cols)
-
-        return f
-
-    tagged = left.map_batches(prep(0), batch_format="pyarrow").union(
-        right_keys.map_batches(prep(1), batch_format="pyarrow")
+    right-side width or duplication; each partition filters its left
+    rows with ONE vectorized ``isin``.  Never materializes a join
+    product — the output is a subset of the left input (key column
+    first), which is what EXISTS semantics mean.  Scale story: one
+    shuffle total, per-partition memory is the partition's left rows +
+    its distinct right keys."""
+    keys = right_keys.map_batches(
+        lambda t: pa.table({on: t[on].unique()}), batch_format="pyarrow"
     )
 
-    def filter_part(t: pa.Table) -> pd.DataFrame:
-        lft = (
-            t.filter(pc.equal(t["_side"], 0))
-            .select(all_cols)
-            .to_pandas()
-        )
-        rkeys = t.filter(pc.equal(t["_side"], 1))[on].to_pandas()
-        mask = lft[on].isin(rkeys)
-        if anti:
-            mask = ~mask
-        return lft[mask]
+    def filter_part(part, lt, rt):
+        if lt is None:
+            return None
+        lft = lt.to_pandas()
+        lft = lft[[on] + [c for c in lft.columns if c != on]]
+        mask = lft[on].isin(rt[on].to_pandas() if rt is not None else [])
+        return lft[~mask if anti else mask]
 
-    return tagged.groupby("_part").map_groups(
-        filter_part, batch_format="pyarrow"
-    )
+    return _exchange([(left, [on]), (keys, [on])], filter_part, num_partitions)
 
 
 def priority_semi_counts(
@@ -3156,11 +2940,9 @@ def event_interarrival(sf_dir, num_partitions=None) -> rd.Dataset:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
         us = g["ts"].to_numpy(dtype="datetime64[us]").astype(np.int64)
         uid = g["user_id"].to_numpy()
-        same = np.empty(len(g), dtype=bool)
-        same[0] = False
+        same = np.zeros(len(g), dtype=bool)
         same[1:] = uid[1:] == uid[:-1]
-        gap = np.empty(len(g), dtype=np.int64)
-        gap[0] = 0
+        gap = np.zeros(len(g), dtype=np.int64)
         gap[1:] = us[1:] - us[:-1]
         d = pd.DataFrame(
             {
@@ -3183,9 +2965,7 @@ def event_interarrival(sf_dir, num_partitions=None) -> rd.Dataset:
             max_gap_us=("max_gap_us", "max"),
         )
 
-    return partials.repartition(1).map_batches(
-        combine, batch_format="pandas", batch_size=None
-    )
+    return _tree_agg(partials, None, combine)
 
 
 _HLL_P = 12  # 4096 registers; ~1.6% standard error
@@ -3333,9 +3113,7 @@ def source_lang_rollup(sf_dir, num_partitions=None) -> rd.Dataset:
             [df[cols], by_source[cols], total[cols]], ignore_index=True
         )
 
-    return finest.repartition(1).map_batches(
-        rollup, batch_format="pandas", batch_size=None
-    )
+    return _tree_agg(finest, None, rollup)
 
 
 def small_quantity_revenue(sf_dir, num_partitions=None) -> rd.Dataset:
@@ -3390,14 +3168,6 @@ def small_quantity_revenue(sf_dir, num_partitions=None) -> rd.Dataset:
             self.keys, self.brands = ray.get(brand_ref)
 
         def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-            if df.empty:
-                return pd.DataFrame(
-                    {
-                        "p_brand": pd.Series([], dtype=object),
-                        "n_items": pd.Series([], dtype=np.int64),
-                        "revenue_cents": pd.Series([], dtype=np.int64),
-                    }
-                )
             q = np.rint(df["l_quantity"].to_numpy()).astype(np.int64)
             keep = 5 * q * df["n"].to_numpy() < df["s"].to_numpy()
             pk = df["l_partkey"].to_numpy()[keep]
@@ -3428,9 +3198,7 @@ def small_quantity_revenue(sf_dir, num_partitions=None) -> rd.Dataset:
             n_items=("n_items", "sum"), revenue_cents=("revenue_cents", "sum")
         )
 
-    return partials.repartition(1).map_batches(
-        combine, batch_format="pandas", batch_size=None
-    )
+    return _tree_agg(partials, None, combine)
 
 
 # the corpus' closed lang set — documented contract shared with the
@@ -3520,17 +3288,13 @@ def heavy_hitters(sf_dir, phi_den: int = 1000, num_partitions=None) -> pd.DataFr
     partials = ds.map_batches(
         ExactCount, batch_format="pandas", concurrency=(1, 8)
     )
-    agg = (
-        partials.repartition(1)
-        .map_batches(
-            lambda df: df.groupby("word", as_index=False).agg(
-                n=("n", "sum"), total=("total", "sum")
-            ),
-            batch_format="pandas",
-            batch_size=None,
-        )
-        .to_pandas()
-    )
+    agg = _tree_agg(
+        partials,
+        None,
+        lambda df: df.groupby("word", as_index=False).agg(
+            n=("n", "sum"), total=("total", "sum")
+        ),
+    ).to_pandas()
     total = int(agg.loc[agg["word"] == "", "total"].sum())
     out = agg[(agg["word"] != "") & (phi_den * agg["n"] > total)]
     return out[["word", "n"]].sort_values(
@@ -3696,8 +3460,7 @@ def funnel_counts(
         for s in stages:
             ev = g[g["event_type"] == s]
             if cur is not None:
-                ev = ev.merge(cur.rename("prev_ts"), left_on="user_id",
-                              right_index=True)
+                ev = ev.merge(cur.rename("prev_ts").reset_index(), on="user_id")
                 ev = ev[(ev["ts"] > ev["prev_ts"])
                         & (ev["ts"] <= ev["prev_ts"] + win)]
             cur = ev.groupby("user_id")["ts"].min()
@@ -3739,9 +3502,7 @@ def distinct_users_exact(sf_dir, num_partitions=None) -> rd.Dataset:
             n_users=("n_users", "sum")
         )
 
-    return parts.repartition(1).map_batches(
-        combine, batch_format="pandas", batch_size=None
-    )
+    return _tree_agg(parts, None, combine)
 
 
 def first_events_per_user(sf_dir, k: int = 3, num_partitions=None) -> rd.Dataset:
@@ -3804,6 +3565,4 @@ def cohort_retention(sf_dir, num_partitions=None) -> rd.Dataset:
             ["cohort_day", "day_offset"], as_index=False
         ).agg(n_users=("n_users", "sum"))
 
-    return parts.repartition(1).map_batches(
-        combine, batch_format="pandas", batch_size=None
-    )
+    return _tree_agg(parts, None, combine)

@@ -240,4 +240,7 @@ def parse_fragment(context, data, config=None) -> DocumentFragment:
     root = tb.doc.children[0]
     for child in list(root.children):
         frag.append(child)
+    # the scratch Document and <html> root link to each other: unlink
+    # them so reference counting frees them (no cyclic garbage)
+    release_tree(tb.doc)
     return frag

@@ -473,8 +473,11 @@ def conformance_diff(sf_dir, num_partitions: int = 16) -> rd.Dataset:
     rows — empty when the invariant holds.  This is the at-scale
     version of the per-row pytest check: it additionally catches
     plumbing corruption (batch slicing, Arrow conversion, shard
-    routing) that a single-process comparison cannot.
+    routing) that a single-process comparison cannot.  Rows are
+    (doc_id, fp_engine, fp_oracle).
     """
+    from .dataops import _exchange
+
     engine = span_fingerprints(extracted_dataset(sf_dir))
 
     def oracle(t: pa.Table) -> pa.Table:
@@ -498,26 +501,30 @@ def conformance_diff(sf_dir, num_partitions: int = 16) -> rd.Dataset:
     ref = interleaved_dataset(sf_dir).map_batches(
         oracle, batch_format="pyarrow"
     )
-    joined = engine.join(
-        ref,
-        join_type="inner",
-        num_partitions=num_partitions,
-        on=("doc_id",),
-        left_suffix="_engine",
-        right_suffix="_oracle",
+
+    def mismatches(part, eng, orc):
+        if eng is None or orc is None:
+            return None
+        t = eng.join(
+            orc, "doc_id", join_type="inner",
+            left_suffix="_engine", right_suffix="_oracle",
+        )
+        return t.filter(pc.invert(pc.equal(t["fp_engine"], t["fp_oracle"])))
+
+    return _exchange(
+        [(engine, ["doc_id"]), (ref, ["doc_id"])], mismatches, num_partitions
     )
 
-    def mismatches(t: pa.Table) -> pa.Table:
-        return t.filter(
-            pc.invert(pc.equal(t["fp_engine"], t["fp_oracle"]))
-        )
 
-    return joined.map_batches(mismatches, batch_format="pyarrow")
-
-
-def reserialized(sf_dir) -> rd.Dataset:
+def reserialized(sf_dir, **options) -> rd.Dataset:
     """Serializer as a pipeline stage (reference S5): parse each html
-    span and re-emit spec-serialized HTML — the round-trip surface."""
+    span and re-emit it serialized, one (doc_id, html) row per span.
+    ``options`` go to ``serialize``: none gives the spec serialization
+    (the round-trip surface); ``reformat_whitespace=True`` with an
+    ``indent_step`` pretty-prints (the reference's reformatWhitespace
+    option, Serializer.php:133-208).  Each tree is released after it is
+    serialized, so no DOM is left as cyclic garbage."""
+    from .dom import release_tree
     from .parser import parse
     from .serializer import serialize
 
@@ -528,45 +535,10 @@ def reserialized(sf_dir) -> rd.Dataset:
         for doc_id, row in zip(ids, spans):
             for s in row:
                 if s["kind"] == "html":
+                    doc = parse(s["text"]).document
                     out_ids.append(doc_id)
-                    html.append(serialize(parse(s["text"]).document))
-        return pa.table(
-            {
-                "doc_id": pa.array(out_ids, pa.string()),
-                "html": pa.array(html, pa.string()),
-            }
-        )
-
-    return interleaved_dataset(sf_dir).map_batches(
-        rt, batch_format="pyarrow", batch_size=64
-    )
-
-
-def pretty_html(sf_dir, indent_step: int = 1) -> rd.Dataset:
-    """Pretty-printing serializer as a pipeline stage: parse each html
-    span and re-emit reformatted (indented, whitespace-collapsed) HTML
-    — the reference's reformatWhitespace option (Serializer.php:133-208)
-    exposed over the corpus.  Same map-only shape as ``reserialized``;
-    the pretty path costs more per doc (block-classification walks), so
-    it is a separate opt-in stage, never part of the extraction path."""
-    from .parser import parse
-    from .serializer import serialize
-
-    def rt(t: pa.Table) -> pa.Table:
-        ids = t["doc_id"].to_pylist()
-        spans = t["spans"].to_pylist()
-        out_ids, html = [], []
-        for doc_id, row in zip(ids, spans):
-            for s in row:
-                if s["kind"] == "html":
-                    out_ids.append(doc_id)
-                    html.append(
-                        serialize(
-                            parse(s["text"]).document,
-                            reformat_whitespace=True,
-                            indent_step=indent_step,
-                        )
-                    )
+                    html.append(serialize(doc, **options))
+                    release_tree(doc)
         return pa.table(
             {
                 "doc_id": pa.array(out_ids, pa.string()),

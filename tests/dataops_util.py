@@ -1,0 +1,34 @@
+"""Driver-side conveniences over the dataops Datasets for small test
+corpora: collect a result and sort it deterministically."""
+
+import pandas as pd
+
+from html_extract import dataops as D
+
+
+def minhash_candidates_df(sf_dir, cap=64, num_partitions=None) -> pd.DataFrame:
+    """Collected candidate pairs sorted by (a, b)."""
+    out = D.minhash_candidates(sf_dir, cap, num_partitions).to_pandas()
+    if len(out) == 0:
+        return pd.DataFrame(
+            {c: pd.Series(dtype="int64") for c in ("a", "b", "n_bands")}
+        )
+    return out.sort_values(["a", "b"], ignore_index=True)
+
+
+def minhash_dedup_df(sf_dir, **kw) -> pd.DataFrame:
+    """Collected cluster assignment sorted by doc_id."""
+    out = D.minhash_dedup(sf_dir, **kw).to_pandas()
+    if "doc_id" not in out.columns:  # empty corpus
+        return pd.DataFrame({"doc_id": [], "cluster_id": []})
+    return out.sort_values("doc_id", ignore_index=True)
+
+
+def embedding_near_dups_df(sf_dir, **kw) -> pd.DataFrame:
+    """Collected embedding near-dup pairs sorted by (a, b)."""
+    out = D.embedding_near_dups(sf_dir, **kw).to_pandas()
+    if "a" not in out.columns or len(out) == 0:
+        return pd.DataFrame(
+            {"a": pd.Series(dtype="int64"), "b": pd.Series(dtype="int64")}
+        )
+    return out.sort_values(["a", "b"], ignore_index=True).astype("int64")

@@ -4,6 +4,8 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from tests import dataops_util as U
+
 SF = "/root/testdata/sf0.001"
 
 pytestmark = pytest.mark.usefixtures("ray_session")
@@ -46,10 +48,10 @@ def test_minhash_finds_near_duplicates(tmp_path):
         }
     )
     pq.write_table(tbl, tmp_path / "documents.parquet")
-    pairs = D.minhash_candidates_df(str(tmp_path))
+    pairs = U.minhash_candidates_df(str(tmp_path))
     assert len(pairs) >= 1
     assert (1, 2) in set(zip(pairs["a"], pairs["b"]))
-    clusters = D.minhash_dedup_df(str(tmp_path))
+    clusters = U.minhash_dedup_df(str(tmp_path))
     cmap = dict(zip(clusters["doc_id"], clusters["cluster_id"]))
     assert cmap[1] == cmap[2]
     assert cmap[3] != cmap[1]
@@ -95,20 +97,6 @@ def test_langid_runs_and_covers_all_docs():
     assert set(out["lang_pred"]) <= {"en", "de", "es", "fr", "zh", "und"}
 
 
-def test_media_features_deterministic():
-    from html_extract.multimodal import MediaDecodeActor, synthesize_payload
-    import pyarrow as pa
-
-    actor = MediaDecodeActor()
-    t = pa.table({"asset_ref": ["mem://a/1", "mem://a/2"]})
-    r1 = actor(t)
-    r2 = actor(t)
-    assert r1.equals(r2)
-    assert len(r1["features"][0].as_py()) == 32
-    with pytest.raises(NotImplementedError):
-        MediaDecodeActor(strict=True)._features(synthesize_payload("x"))
-
-
 def test_orders_by_nation_matches_pandas():
     from html_extract import dataops as D
 
@@ -150,7 +138,7 @@ def test_embedding_near_dups_finds_planted_pair(tmp_path):
         }
     )
     pq.write_table(tbl, tmp_path / "embeddings.parquet")
-    pairs = D.embedding_near_dups_df(str(tmp_path), threshold_pct=95)
+    pairs = U.embedding_near_dups_df(str(tmp_path), threshold_pct=95)
     assert (3, 5) in set(zip(pairs["a"], pairs["b"]))
 
 
@@ -201,7 +189,7 @@ def test_minhash_dedup_matches_bruteforce_reference(tmp_path):
         texts.append(" ".join(src))
     _write_docs(tmp_path, ids, texts)
 
-    got = D.minhash_dedup_df(str(tmp_path), jaccard_threshold_pct=80)
+    got = U.minhash_dedup_df(str(tmp_path), jaccard_threshold_pct=80)
     cmap = dict(zip(got["doc_id"], got["cluster_id"]))
 
     # brute-force reference over the same shingle definition
@@ -251,8 +239,8 @@ def test_minhash_dedup_distributed_cc_path(tmp_path):
     texts.append(" ".join(f"zz{i}" for i in range(150)))
     _write_docs(tmp_path, ids, texts)
 
-    got_driver = D.minhash_dedup_df(str(tmp_path))
-    got_dist = D.minhash_dedup_df(str(tmp_path), cc_driver_max_pairs=0)
+    got_driver = U.minhash_dedup_df(str(tmp_path))
+    got_dist = U.minhash_dedup_df(str(tmp_path), cc_driver_max_pairs=0)
     d1 = dict(zip(got_driver["doc_id"], got_driver["cluster_id"]))
     d2 = dict(zip(got_dist["doc_id"], got_dist["cluster_id"]))
     assert d1 == d2
@@ -270,10 +258,10 @@ def test_minhash_hot_bucket_star_keeps_connectivity(tmp_path):
     ids = list(range(n))
     texts = [text] * n
     _write_docs(tmp_path, ids, texts)
-    pairs = D.minhash_candidates_df(str(tmp_path), cap=8)
+    pairs = U.minhash_candidates_df(str(tmp_path), cap=8)
     # star pattern: O(n) pairs, not O(n^2)
     assert len(pairs) <= 2 * n
-    got = D.minhash_dedup_df(str(tmp_path))
+    got = U.minhash_dedup_df(str(tmp_path))
     assert set(got["cluster_id"]) == {0}
 
 
@@ -393,7 +381,7 @@ def test_embedding_near_dups_recall_planted_batch(tmp_path):
         }
     )
     pq.write_table(tbl, tmp_path / "embeddings.parquet")
-    pairs = D.embedding_near_dups_df(str(tmp_path), threshold_pct=95)
+    pairs = U.embedding_near_dups_df(str(tmp_path), threshold_pct=95)
     got = set(zip(pairs["a"], pairs["b"]))
     found = sum(1 for p in planted if p in got)
     assert found >= 19  # >= 95% recall on planted pairs
@@ -548,38 +536,6 @@ def test_minhash_dedup_sf01_planted_dups_no_driver_load(tmp_path, monkeypatch):
     assert hits / len(planted) >= 0.95
 
 
-def test_media_resize_and_frames_plumbing():
-    """Resize + frame-sample actors: deterministic fakes, real schema/
-    row-expansion plumbing, strict mode raises at the kernel."""
-    import pyarrow as pa
-
-    from html_extract import multimodal as M
-
-    t = pa.table({"asset_ref": [f"mem://a/{i}" for i in range(5)]})
-    r1 = M.MediaResizeActor(target=8)(t)
-    r2 = M.MediaResizeActor(target=8)(t)
-    assert r1.equals(r2)
-    assert all(w == 8 for w in r1["width"].to_pylist())
-    assert all(len(p) == 64 for p in r1["payload"].to_pylist())
-    with pytest.raises(NotImplementedError):
-        M.MediaResizeActor(strict=True)._resize(b"x" * 100)
-
-    f = M.FrameSampleActor(n_frames=3)(t)
-    assert f.num_rows == 15  # row expansion: 5 refs x 3 frames
-    assert f["frame_idx"].to_pylist()[:3] == [0, 1, 2]
-    with pytest.raises(NotImplementedError):
-        M.FrameSampleActor(strict=True)._frames(b"x" * 100)
-
-
-def test_media_frames_pipeline():
-    from html_extract import multimodal as M
-
-    out = M.media_frames(SF).to_pandas()
-    if len(out):  # video-typed refs exist in the corpus
-        assert set(out.columns) == {"asset_ref", "n_bytes", "features"}
-        assert all(len(f) == M.FEATURE_DIM for f in out["features"])
-
-
 def test_major_ops_handle_empty_corpus(tmp_path):
     """Empty documents/embeddings tables: every major op returns an
     empty result rather than raising (the empty-block bug class)."""
@@ -605,48 +561,15 @@ def test_major_ops_handle_empty_corpus(tmp_path):
     )
     td = str(tmp_path)
     assert D.exact_dedup(td).count() == 0
-    assert len(D.minhash_candidates_df(td)) == 0
-    assert len(D.minhash_dedup_df(td)) == 0
+    assert len(U.minhash_candidates_df(td)) == 0
+    assert len(U.minhash_dedup_df(td)) == 0
     assert D.sampled_docs(td).count() == 0
     assert D.simhash_fingerprints(td).count() == 0
     assert len(D.word_frequencies(td)) == 0
     assert D.winnow_fingerprints(td).count() == 0
-    assert len(D.embedding_near_dups_df(td)) == 0
+    assert len(U.embedding_near_dups_df(td)) == 0
     assert len(D.ann_topk_lsh(td)) == 0
     assert len(D.ann_topk_ivf(td)) == 0
-
-
-def test_media_kernel_golden_contract():
-    """VERDICT r2 item 8: the fake media kernels' output SCHEMA and
-    deterministic values are pinned against a committed golden, so a
-    future real-kernel (PIL/ffmpeg) swap is schema-safe — any schema or
-    layout drift fails here first.  Regenerate the golden only on an
-    intentional contract change (see tests/golden/media_kernels.json)."""
-    import hashlib
-    import json
-
-    import pyarrow as pa
-
-    from html_extract import multimodal as M
-
-    golden = json.load(open("tests/golden/media_kernels.json"))
-    refs = [f"mem://golden/{i}" for i in range(4)] + ["mem://golden/vid.mp4"]
-    t = pa.table({"asset_ref": pa.array(refs, pa.string())})
-    actors = {
-        "decode": M.MediaDecodeActor(),
-        "resize": M.MediaResizeActor(target=8),
-        "frames": M.FrameSampleActor(n_frames=3),
-    }
-    for name, actor in actors.items():
-        out = actor(t)
-        want = golden[name]
-        assert out.schema.to_string() == want["schema"], f"{name} schema drift"
-        assert out.num_rows == want["num_rows"]
-        sink = pa.BufferOutputStream()
-        with pa.ipc.new_stream(sink, out.schema) as w:
-            w.write_table(out)
-        got = hashlib.md5(sink.getvalue().to_pybytes()).hexdigest()
-        assert got == want["ipc_md5"], f"{name} value drift"
 
 
 def test_dup_group_histogram_planted(tmp_path):
@@ -872,7 +795,7 @@ def test_embedding_near_dups_matches_exact_pairs_at_driver_config():
 
     from html_extract import dataops as D
 
-    got = D.embedding_near_dups_df(SF, threshold_pct=40, n_planes=3, n_tables=24)
+    got = U.embedding_near_dups_df(SF, threshold_pct=40, n_planes=3, n_tables=24)
     df = pd.read_parquet(f"{SF}/embeddings.parquet", columns=["vec_id", "embedding"])
     M = np.stack(df["embedding"].to_numpy()).astype(np.float64)
     Mn = M / np.linalg.norm(M, axis=1, keepdims=True)
@@ -1985,46 +1908,33 @@ def test_distinct_users_exact_matches_nunique():
 
 
 def test_bloom_prefiltered_semi_join_identical():
-    """The Bloom runtime filter changes shuffle volume, never results:
-    bit-identical to the plain semi-join on a selective key layout,
-    and the filter itself admits every true key (no false negatives)."""
+    """The Bloom prefilter of the verification joins (a runtime-filter
+    semi join against the candidate ids) changes volume, never results:
+    the prepped block holds exactly the unfiltered shingle rows of every
+    kept id, and the filter itself admits every true key (no false
+    negatives)."""
+    import pyarrow.parquet as pq
+    import ray
     import ray.data as rd
 
     from html_extract import dataops as D
 
-    rng = np.random.RandomState(3)
-    lf = pd.DataFrame(
-        {
-            "k": rng.randint(0, 100_000, size=5_000).astype("int64"),
-            "v": np.arange(5_000, dtype="int64"),
-        }
+    docs = pq.read_table(f"{SF}/documents.parquet", columns=["doc_id", "text"])
+    keep = pd.DataFrame({"doc_id": docs["doc_id"].to_numpy()[::7]})
+    bits = D._bloom_build(rd.from_pandas(keep).repartition(2), "doc_id", 1 << 20)
+    everything = np.full_like(bits, 0xFF)
+    full = D._shingle_prep(ray.put(everything), "doc_id", "sh")(docs).to_pandas()
+    pruned = D._shingle_prep(ray.put(bits), "doc_id", "sh")(docs).to_pandas()
+    assert len(full) == docs.num_rows
+    got = pruned[pruned["doc_id"].isin(keep["doc_id"])]
+    want = full[full["doc_id"].isin(keep["doc_id"])]
+    pd.testing.assert_frame_equal(
+        got.reset_index(drop=True), want.reset_index(drop=True)
     )
+    assert len(got) == len(keep)
+    assert len(pruned) < len(full)
+
     rkeys = pd.DataFrame({"k": np.arange(0, 100_000, 97, dtype="int64")})
-
-    plain = (
-        D._semi_anti_join(
-            rd.from_pandas(lf).repartition(4),
-            rd.from_pandas(rkeys).repartition(2),
-            on="k",
-            num_partitions=4,
-        )
-        .to_pandas()
-        .sort_values(["k", "v"], ignore_index=True)
-    )
-    bloomed = (
-        D._semi_anti_join(
-            rd.from_pandas(lf).repartition(4),
-            rd.from_pandas(rkeys).repartition(2),
-            on="k",
-            num_partitions=4,
-            bloom_bits=1 << 16,
-        )
-        .to_pandas()
-        .sort_values(["k", "v"], ignore_index=True)
-    )
-    pd.testing.assert_frame_equal(bloomed, plain)
-    assert len(plain) > 0
-
     # no false negatives: every inserted key passes the probe
     bits = D._bloom_build(rd.from_pandas(rkeys), "k", 1 << 16)
     assert D._bloom_test(bits, rkeys["k"]).all()
@@ -2185,3 +2095,135 @@ def test_promoted_oracle_twins_match_duckdb(name):
         assert (got["cluster_id"] != got["doc_id"]).sum() > 0
     else:
         assert (got["n_contaminated_ngrams"] > 0).sum() > 0
+
+
+def test_exchange_contract():
+    """_exchange: fn runs once for every partition id; each side reaches
+    it as its own Arrow table with its own types (zero rows when its rows
+    all hash elsewhere, None only when the side had no non-empty block);
+    equal keys of both sides meet in one partition."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from html_extract import dataops as D
+
+    left = rd.from_arrow(
+        pa.table({"k": pa.array([1, 2, 3, 4], pa.int64()), "s": pa.array(list("abcd"))})
+    ).repartition(2)
+    right = rd.from_arrow(
+        pa.table({"k": pa.array([3, 4, 5], pa.int64()), "b": pa.array([b"x", b"y", b"z"])})
+    )
+    none = rd.from_arrow(pa.table({"k": pa.array([], pa.int64())}))
+
+    def fn(part, lt, rt, nt):
+        return pa.table(
+            {
+                "part": [part],
+                "types": [f"{lt.schema.types}|{rt.schema.types}|{nt is None}"],
+                "lkeys": [sorted(lt["k"].to_pylist())],
+                "rkeys": [sorted(rt["k"].to_pylist())],
+            }
+        )
+
+    out = (
+        D._exchange([(left, ["k"]), (right, ["k"]), (none, ["k"])], fn, 6)
+        .to_pandas()
+        .sort_values("part", ignore_index=True)
+    )
+    assert out["part"].tolist() == list(range(6))
+    assert set(out["types"]) == {"[DataType(int64), DataType(string)]|"
+                                 "[DataType(int64), DataType(binary)]|True"}
+    assert sorted(k for ks in out["lkeys"] for k in ks) == [1, 2, 3, 4]
+    assert sorted(k for ks in out["rkeys"] for k in ks) == [3, 4, 5]
+    for lk, rk in zip(out["lkeys"], out["rkeys"]):
+        assert not ({3, 4} & set(lk)) ^ ({3, 4} & set(rk))  # co-located
+    # some partition is one-sided, so the typed empties were exercised
+    assert any(min(len(lk), len(rk)) == 0 < max(len(lk), len(rk))
+               for lk, rk in zip(out["lkeys"], out["rkeys"]))
+
+
+def test_exchange_all_empty_input_keeps_typed_schema(tmp_path):
+    """On all-empty inputs fn still runs once (partition 0, every side
+    None), so the result carries the schema fn declares: exact_dedup of
+    an empty corpus is a typed empty doc_id column, not a schemaless
+    Dataset."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from html_extract import dataops as D
+
+    calls = D._exchange(
+        [(rd.from_arrow(pa.table({"k": pa.array([], pa.int64())})), ["k"])],
+        lambda part, t: pa.table({"part": [part], "side_is_none": [t is None]}),
+    ).to_pandas()
+    assert calls.values.tolist() == [[0, True]]
+
+    _write_docs(tmp_path, [], [])
+    # materialized: count and schema read the result, no early-stopping plan
+    out = D.exact_dedup(str(tmp_path)).materialize()
+    assert out.count() == 0
+    assert out.schema().names == ["doc_id"]
+    assert out.schema().types == [pa.int64()]
+
+
+def test_minhash_pairs_no_candidate_pair(tmp_path):
+    """Distinct documents give no LSH candidate: minhash_pairs returns a
+    typed empty (a, b, n_inter, n_union) result instead of raising."""
+    import pyarrow as pa
+
+    from html_extract import dataops as D
+
+    rng = np.random.RandomState(11)
+    texts = [" ".join(f"t{d}w{rng.randint(0, 10**6)}" for _ in range(40)) for d in range(20)]
+    _write_docs(tmp_path, list(range(20)), texts)
+    assert D.minhash_candidates(str(tmp_path)).count() == 0
+    out = D.minhash_pairs(str(tmp_path)).materialize()
+    assert out.count() == 0
+    assert out.schema().names == ["a", "b", "n_inter", "n_union"]
+    assert out.schema().types == [pa.int64()] * 4
+
+
+def test_dedup_queries_no_schema_warnings_and_one_execution(tmp_path, monkeypatch):
+    """The benchmark's dedup queries over a small seeded table set: no
+    "different schema" warning from any exchange, and each job query is
+    exactly one Dataset execution (no schema probe, no limit plan).
+    minhash_pairs adds its two planned executions: the candidate pairs
+    are materialized, and the Bloom filter is built before the
+    verification joins."""
+    import logging
+
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    from html_extract import dataops as D
+    from perfbench.inputs import write_query_tables
+
+    write_query_tables(11, 200, 2000, str(tmp_path))
+    warnings, executions = [], []
+
+    class Warnings(logging.Handler):
+        def emit(self, record):
+            if "different schema than the previous one" in record.getMessage():
+                warnings.append(record.getMessage())
+
+    execute = StreamingExecutor.execute
+
+    def counted(self, *args, **kw):
+        executions.append(1)
+        return execute(self, *args, **kw)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    handler = Warnings(logging.WARNING)
+    logging.getLogger("ray.data").addHandler(handler)
+    try:
+        per_query = {}
+        for q in ["exact_dedup", "source_label_stats", "priority_semi_counts",
+                  "tfidf_top_terms", "minhash_pairs"]:
+            before = len(executions)
+            assert len(getattr(D, q)(str(tmp_path)).to_pandas()) > 0
+            per_query[q] = len(executions) - before
+    finally:
+        logging.getLogger("ray.data").removeHandler(handler)
+    assert warnings == []
+    assert per_query == {"exact_dedup": 1, "source_label_stats": 1,
+                         "priority_semi_counts": 1, "tfidf_top_terms": 1,
+                         "minhash_pairs": 3}

@@ -12,7 +12,7 @@ from html_extract import extract as E
 from html_extract import pipeline as P
 from html_extract.dom import Element, Node, release_tree
 from html_extract.extract import extract_spans, gc_paused
-from html_extract.parser import parse
+from html_extract.parser import parse, parse_fragment
 from html_extract.serializer import serialize
 from html_extract.tokenizer import Tokenizer
 from html_extract.treebuilder import ElementStack, TreeBuilder
@@ -164,6 +164,22 @@ def test_extract_spans_leaves_no_cyclic_garbage(name, saveall):
     assert meta["n_nodes"] > 1
     gc.collect()
     # type names only: a failing test must not keep the garbage alive
+    left = Counter(type(o).__name__ for o in gc.garbage if isinstance(o, _PARSE_STATE))
+    assert not left, f"left as cyclic garbage: {dict(left)}"
+
+
+@pytest.mark.parametrize(
+    "context,markup",
+    [("td", "<td>x<b>y</b>"), ("svg path", "<g>a</g>"), ("template", "<tr><td>z")],
+)
+def test_parse_fragment_leaves_no_cyclic_garbage(context, markup, saveall):
+    """The scratch Document and <html> root of a fragment parse are
+    freed by reference counting; only the returned fragment survives,
+    and ``release_tree`` frees it like a parsed document."""
+    frag = parse_fragment(context, markup)
+    assert release_tree(frag) > 1
+    del frag
+    gc.collect()
     left = Counter(type(o).__name__ for o in gc.garbage if isinstance(o, _PARSE_STATE))
     assert not left, f"left as cyclic garbage: {dict(left)}"
 

@@ -16,8 +16,9 @@ def test_flagship_extraction_runs(tmp_path):
     from html_extract import pipeline as P
 
     ds = P.extracted_dataset(SF_DIR, batch_size=64)
-    rows = ds.take(10)
-    assert len(rows) == 10
+    rows = ds.take_all()
+    assert len(rows) == 500
+    assert len({r["doc_id"] for r in rows}) == 500
     for r in rows:
         assert r["doc_id"].startswith("doc-")
         assert r["ok"]
@@ -86,9 +87,12 @@ def test_size_histogram():
 def test_spans_flat_projection():
     from html_extract import pipeline as P
 
-    flat = P.spans_flat(P.extracted_dataset(SF_DIR))
-    t = flat.take(5)
-    assert {"doc_id", "kind", "text", "media_ref", "ord"} <= set(t[0].keys())
+    flat = P.spans_flat(P.extracted_dataset(SF_DIR)).to_pandas()
+    assert {"doc_id", "kind", "text", "media_ref", "ord"} <= set(flat.columns)
+    assert flat["doc_id"].nunique() == 500
+    # each document's spans are numbered 0..n-1 in order
+    for _, g in flat.groupby("doc_id", sort=False):
+        assert g["ord"].tolist() == list(range(len(g)))
 
 
 def test_conformance_diff_empty():
@@ -104,21 +108,20 @@ def test_reserialized_roundtrip_stable():
     from html_extract.parser import parse
     from html_extract.serializer import serialize
 
-    rows = P.reserialized(SF_DIR).take(5)
+    rows = P.reserialized(SF_DIR).take_all()
+    assert len({r["doc_id"] for r in rows}) == 500
     for r in rows:
         # serialize(parse(.)) is a fixed point on already-serialized HTML
         assert serialize(parse(r["html"]).document) == r["html"]
 
 
 def test_pretty_html_stage():
-    import re
-
     from html_extract import pipeline as P
     from html_extract.parser import parse
     from html_extract.serializer import serialize
 
-    rows = P.pretty_html(SF_DIR).take(5)
-    ws = re.compile(r"\s+")
+    rows = P.reserialized(SF_DIR, reformat_whitespace=True).take_all()
+    assert len({r["doc_id"] for r in rows}) == 500
     for r in rows:
         # pretty output is still a parseable document whose rendered
         # (whitespace-collapsed) text equals a replain-serialize of it
@@ -145,10 +148,11 @@ def test_dedup_output_guard():
 def test_plain_adapter_mode():
     from html_extract import pipeline as P
 
-    ds = P.interleaved_dataset(SF_DIR, mode="plain")
-    row = ds.take(1)[0]
-    assert len(row["spans"]) == 1
-    assert row["spans"][0]["kind"] == "html"
+    rows = P.interleaved_dataset(SF_DIR, mode="plain").take_all()
+    assert len(rows) == 500
+    for row in rows:
+        assert len(row["spans"]) == 1
+        assert row["spans"][0]["kind"] == "html"
 
 
 def test_multifile_corpus_file_level_sharding(tmp_path):
