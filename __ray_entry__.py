@@ -133,7 +133,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "top_sources_by_chars": D.top_sources_by_chars,
         # --- flagship extraction (parser-dependent -> rows-only) ---
         "extract_spans": extract_spans,
-        "conformance_diff": lambda sf: P.conformance_diff(sf, num_partitions=8),
+        "conformance_diff": P.conformance_diff,
         "extract_meta": extract_meta,
         "reserialized_html": P.reserialized,
         "pretty_html": lambda sf: P.reserialized(sf, reformat_whitespace=True),

@@ -10,8 +10,14 @@ Design rules applied throughout (see ray_guide / SURVEY.md §4):
 - column pruning at the read,
 - vectorized per-batch kernels (pandas/numpy/pyarrow),
 - partial aggregation inside map_batches BEFORE any shuffle,
-- small sides broadcast once with ray.put, never shuffled,
-- one keyed shuffle primitive, ``_exchange(sides, fn, num_partitions)``:
+- every map is a task-pool stage: ``map_batches`` gets a plain function
+  and no ``concurrency``, so a stage never starts a per-Dataset actor
+  pool (one that holds every CPU starves the read and hangs a small
+  session).  Load-once state is a module-level constant, or a small
+  side broadcast once with ray.put (never shuffled) and read with
+  ``ray.get(ref)`` inside the batch function,
+- one keyed shuffle primitive, ``_exchange(sides, fn)``, with the one
+  partition count ``_num_partitions()``:
   every side is hash-partitioned on its key columns by ``_hash_mod``
   and ``fn(part_id, *tables)`` runs once per partition.  Each side
   reaches ``fn`` as its own Arrow table with its own types (zero rows
@@ -99,9 +105,9 @@ _TAG_SCHEMA = pa.schema(
 )
 
 
-def _num_partitions(requested=None) -> int:
-    if requested:
-        return int(requested)
+def _num_partitions() -> int:
+    """The partition count of every exchange: the one place a
+    cost-based rule would go."""
     return max(8, _cpus())
 
 
@@ -133,10 +139,13 @@ def _exchange(sides, fn, num_partitions=None) -> rd.Dataset:
     schema change.  A filter in ``prep`` may empty a block and still
     tags typed zero-row slices.
 
+    ``num_partitions`` overrides ``_num_partitions()`` for a caller
+    that has measured its input (``_jaccard_verify``).
+
     Plan: tag map -> sort on ``_part`` -> one map over the sorted
     blocks, the same shape as ``groupby().map_groups``; no schema probe
     and no other execution."""
-    P = _num_partitions(num_partitions)
+    P = num_partitions or _num_partitions()
 
     def tag(side, key_cols, prep=None):
         def f(t: pa.Table) -> pa.Table:
@@ -212,9 +221,13 @@ def _exchange(sides, fn, num_partitions=None) -> rd.Dataset:
     # schema change; a range of several partitions rarely yields none.
     R = min(P, _cpus())
     if R == 1:
-        ranges = tagged.repartition(1)
-    else:
-        ranges = tagged.sort("_part", boundaries=[i * P // R for i in range(1, R)])
+        # one task over all tag blocks, bundled by the map itself.  An
+        # all-to-all (repartition) runs in Ray Data's scheduling thread
+        # and waits there for its own tasks; in a 1-CPU session a task of
+        # an independent branch (a read paused on output backpressure)
+        # can hold the only CPU, and the plan never finishes.
+        return tagged.map_batches(run, batch_format="pyarrow", batch_size=1 << 62)
+    ranges = tagged.sort("_part", boundaries=[i * P // R for i in range(1, R)])
     return ranges.map_batches(run, batch_format="pyarrow", batch_size=None)
 
 
@@ -229,7 +242,7 @@ def _tree_agg(ds: rd.Dataset, partial_fn, combine_fn=None) -> rd.Dataset:
     )
 
 
-def _partition_apply(ds: rd.Dataset, key_cols, group_fn, num_partitions=None) -> rd.Dataset:
+def _partition_apply(ds: rd.Dataset, key_cols, group_fn) -> rd.Dataset:
     """Run ``group_fn`` once per key-hash partition of ``ds`` on a
     pandas frame of its rows (rows with equal keys are co-located).  A
     partition may hold no rows; ``group_fn`` then returns a typed empty
@@ -238,16 +251,14 @@ def _partition_apply(ds: rd.Dataset, key_cols, group_fn, num_partitions=None) ->
     def run(part, t):
         return None if t is None else group_fn(t.to_pandas())
 
-    return _exchange([(ds, key_cols)], run, num_partitions)
+    return _exchange([(ds, key_cols)], run)
 
 
-def _keyed_agg(
-    ds: rd.Dataset, partial_fn, combine_fn, key_cols, num_partitions=None
-) -> rd.Dataset:
+def _keyed_agg(ds: rd.Dataset, partial_fn, combine_fn, key_cols) -> rd.Dataset:
     """Partial-aggregate per batch, then combine per key-hash partition
     (never funnels the whole key set through one task)."""
     partials = ds.map_batches(partial_fn, batch_format="pandas")
-    return _partition_apply(partials, key_cols, combine_fn, num_partitions)
+    return _partition_apply(partials, key_cols, combine_fn)
 
 
 def _rename(ds: rd.Dataset, mapping: dict) -> rd.Dataset:
@@ -261,32 +272,41 @@ def _rename(ds: rd.Dataset, mapping: dict) -> rd.Dataset:
     return ds.map_batches(r, batch_format="pyarrow")
 
 
-def _hash_join(
-    left: rd.Dataset,
-    right: rd.Dataset,
-    on,
-    how: str = "inner",
-    num_partitions=None,
-) -> rd.Dataset:
+def _hash_join(left: rd.Dataset, right: rd.Dataset, on, how: str = "inner") -> rd.Dataset:
     """Partition-native hash join: one ``_exchange`` of both sides on
-    ``on``, then one vectorized pandas merge per partition.  Key columns
-    share names on both sides; non-key column names must not overlap.
-    ``how``: "inner" or "left".  A right side with no rows at all keeps
-    the left rows without right columns for "left" (they are unknowable)
-    and gives no rows for "inner"."""
+    ``on``, then one vectorized pandas merge of the key columns per
+    partition, whose row positions gather both sides' Arrow columns.
+    Key columns share names on both sides; non-key column names must not
+    overlap.  ``how``: "inner" or "left".  Every column keeps its side's
+    Arrow type in every partition; a left row without a match gets nulls
+    in the right columns.  A right side with no rows at all keeps the
+    left rows without right columns for "left" (they are unknowable) and
+    gives no rows for "inner"."""
     on = list(on)
+
+    def positions(t: pa.Table, name: str) -> pd.DataFrame:
+        keys = pd.DataFrame({c: t[c].to_pandas() for c in on})
+        return keys.assign(**{name: np.arange(t.num_rows)})
 
     def join_part(part, lt, rt):
         if lt is None or (rt is None and how == "inner"):
             return None
         if rt is None:
-            return lt.to_pandas()
-        overlap = (set(lt.column_names) & set(rt.column_names)) - set(on)
+            return lt
+        payload = rt.drop_columns(on)
+        overlap = set(lt.column_names) & set(payload.column_names)
         if overlap:
             raise ValueError(f"non-key columns overlap: {overlap}")
-        return lt.to_pandas().merge(rt.to_pandas(), on=on, how=how)
+        rows = positions(lt, "_l").merge(positions(rt, "_r"), on=on, how=how)
+        # an unmatched left row has a NaN right position: a null index
+        # that takes a null in the right column's own type
+        right = payload.take(pa.array(rows["_r"], pa.int64(), from_pandas=True))
+        out = lt.take(pa.array(rows["_l"].to_numpy()))
+        return pa.Table.from_arrays(
+            out.columns + right.columns, out.column_names + right.column_names
+        )
 
-    return _exchange([(left, on), (right, on)], join_part, num_partitions)
+    return _exchange([(left, on), (right, on)], join_part)
 
 
 def doc_stats_by_source(sf_dir) -> rd.Dataset:
@@ -396,43 +416,39 @@ def quality_scores(sf_dir) -> rd.Dataset:
     return ds.map_batches(f, batch_format="pandas")
 
 
-class LangIdActor:
-    """Stopword-profile language ID (stateful: per-language stopword
-    regexes compiled once per actor; scoring is vectorized pandas
-    str.count per language — no per-row Python loop)."""
+# per-language stopword regexes, compiled once per worker process
+_LANGS = list(_STOPWORDS)
+_LANG_RES = [
+    re.compile(
+        r"(?<![a-zà-ÿäöüß])(?:"
+        + "|".join(sorted(_STOPWORDS[lang], key=len, reverse=True))
+        + r")(?![a-zà-ÿäöüß])"
+    )
+    for lang in _LANGS
+]
+_CJK_RE = re.compile(r"[一-鿿]")
 
-    def __init__(self):
-        self.langs = list(_STOPWORDS)
-        self.lang_res = [
-            re.compile(
-                r"(?<![a-zà-ÿäöüß])(?:"
-                + "|".join(sorted(_STOPWORDS[lang], key=len, reverse=True))
-                + r")(?![a-zà-ÿäöüß])"
-            )
-            for lang in self.langs
-        ]
-        self.cjk_re = re.compile(r"[一-鿿]")
 
-    def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-        lower = df["text"].str.lower()
-        scores = np.zeros((len(df), len(self.langs)), dtype=np.int64)
-        for i, rex in enumerate(self.lang_res):
-            scores[:, i] = lower.str.count(rex).to_numpy()
-        best = np.argmax(scores, axis=1)  # first max wins (dict order)
-        has_hit = scores.max(axis=1) > 0
-        pred = np.where(
-            has_hit, np.asarray(self.langs, dtype=object)[best], "und"
-        ).astype(object)
-        cjk = lower.str.contains(self.cjk_re).to_numpy()
-        pred[cjk] = "zh"
-        return pd.DataFrame({"doc_id": df["doc_id"], "lang_pred": pred})
+def _langid_batch(df: pd.DataFrame) -> pd.DataFrame:
+    """Stopword-profile language ID: vectorized pandas str.count per
+    language — no per-row Python loop."""
+    lower = df["text"].str.lower()
+    scores = np.zeros((len(df), len(_LANGS)), dtype=np.int64)
+    for i, rex in enumerate(_LANG_RES):
+        scores[:, i] = lower.str.count(rex).to_numpy()
+    best = np.argmax(scores, axis=1)  # first max wins (dict order)
+    has_hit = scores.max(axis=1) > 0
+    pred = np.where(
+        has_hit, np.asarray(_LANGS, dtype=object)[best], "und"
+    ).astype(object)
+    cjk = lower.str.contains(_CJK_RE).to_numpy()
+    pred[cjk] = "zh"
+    return pd.DataFrame({"doc_id": df["doc_id"], "lang_pred": pred})
 
 
 def langid(sf_dir) -> rd.Dataset:
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    return ds.map_batches(
-        LangIdActor, batch_format="pandas", batch_size=1024, concurrency=(1, 8)
-    )
+    return ds.map_batches(_langid_batch, batch_format="pandas", batch_size=1024)
 
 
 def stopword_counts(sf_dir) -> rd.Dataset:
@@ -533,7 +549,7 @@ def lineitem_pricing_summary(sf_dir) -> rd.Dataset:
     return _tree_agg(ds, partial)
 
 
-def word_frequencies(sf_dir, k: int = 50, num_partitions=None) -> pd.DataFrame:
+def word_frequencies(sf_dir, k: int = 50) -> pd.DataFrame:
     """Global top-k word counts (the canonical distributed wordcount).
 
     Scale shape: vectorized count per batch -> keyed combine per
@@ -549,10 +565,10 @@ def word_frequencies(sf_dir, k: int = 50, num_partitions=None) -> pd.DataFrame:
         g.columns = ["word", "n"]
         return g
 
-    return _top_counts(ds, partial, "word", k, num_partitions)
+    return _top_counts(ds, partial, "word", k)
 
 
-def _top_counts(ds, partial, key: str, k: int, num_partitions) -> pd.DataFrame:
+def _top_counts(ds, partial, key: str, k: int) -> pd.DataFrame:
     """Global top-k of the (key, n) counts ``partial`` emits per batch:
     keyed combine + top-k per key-hash partition, then the driver merges
     only P*k candidate rows.  Ties break to the smaller key."""
@@ -562,7 +578,7 @@ def _top_counts(ds, partial, key: str, k: int, num_partitions) -> pd.DataFrame:
         g = df.groupby(key, as_index=False).agg(n=("n", "sum"))
         return g.sort_values(**order).head(k)
 
-    agg = _keyed_agg(ds, partial, combine_topk, [key], num_partitions).to_pandas()
+    agg = _keyed_agg(ds, partial, combine_topk, [key]).to_pandas()
     if key not in agg.columns:  # empty corpus
         return pd.DataFrame({key: pd.Series(dtype=object), "n": pd.Series(dtype="int64")})
     return agg.sort_values(**order, ignore_index=True).head(k).astype({"n": "int64"})
@@ -611,7 +627,7 @@ def doc_fingerprints(sf_dir) -> rd.Dataset:
 # dedup
 
 
-def exact_dedup(sf_dir, num_partitions=None) -> rd.Dataset:
+def exact_dedup(sf_dir) -> rd.Dataset:
     """Exact dedup: hash-partition on content hash, keep min doc_id.
 
     Scale shape: the shuffle key is the RAW 16-byte md5 digest (binary,
@@ -645,7 +661,7 @@ def exact_dedup(sf_dir, num_partitions=None) -> rd.Dataset:
         return out[["doc_id"]]
 
     partials = ds.map_batches(partial, batch_format="pyarrow")
-    return _exchange([(partials, ["h"])], combine, num_partitions)
+    return _exchange([(partials, ["h"])], combine)
 
 
 _MINHASH_PERMS = 128
@@ -744,33 +760,31 @@ def _minhash_sigs(sh_list):
     return sigs
 
 
-class MinHashActor:
+def _minhash_bands(t: pa.Table) -> pa.Table:
     """documents -> (doc_id, band, band_hash) rows, 32 per doc.
 
     Fully vectorized (batch token hashing + matrix min + uint64 band
     fold) and emits a FIXED Arrow schema so Ray's schema unification
     never falls back to slow paths."""
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        texts = t["text"].to_pylist()
-        n = len(texts)
-        sigs = _minhash_sigs(_batch_shingle_hashes(texts))
-        with np.errstate(over="ignore"):
-            bh = (
-                sigs.reshape(n, _MINHASH_BANDS, -1) * _BAND_MIX[None, None, :]
-            ).sum(axis=2, dtype=np.uint64)
-        idx = np.repeat(np.arange(n), _MINHASH_BANDS)
-        bands = np.tile(np.arange(_MINHASH_BANDS, dtype=np.int32), n)
-        return pa.table(
-            {
-                "doc_id": t["doc_id"].take(pa.array(idx)),
-                "band": pa.array(bands, pa.int32()),
-                "band_hash": pa.array(bh.reshape(-1), pa.uint64()),
-            }
-        )
+    texts = t["text"].to_pylist()
+    n = len(texts)
+    sigs = _minhash_sigs(_batch_shingle_hashes(texts))
+    with np.errstate(over="ignore"):
+        bh = (
+            sigs.reshape(n, _MINHASH_BANDS, -1) * _BAND_MIX[None, None, :]
+        ).sum(axis=2, dtype=np.uint64)
+    idx = np.repeat(np.arange(n), _MINHASH_BANDS)
+    bands = np.tile(np.arange(_MINHASH_BANDS, dtype=np.int32), n)
+    return pa.table(
+        {
+            "doc_id": t["doc_id"].take(pa.array(idx)),
+            "band": pa.array(bands, pa.int32()),
+            "band_hash": pa.array(bh.reshape(-1), pa.uint64()),
+        }
+    )
 
 
-def minhash_candidates(sf_dir, cap=64, num_partitions=None) -> rd.Dataset:
+def minhash_candidates(sf_dir, cap=64) -> rd.Dataset:
     """MinHash-LSH candidate pairs: shingle -> 128-perm signature ->
     32 bands -> bucket by (band, band_hash) -> pairs within a bucket.
     Returns a Dataset[(a, b, n_bands)] — nothing ever lands on the
@@ -785,9 +799,7 @@ def minhash_candidates(sf_dir, cap=64, num_partitions=None) -> rd.Dataset:
     instead of all O(m^2) pairs, preserving cluster connectivity while
     bounding output to O(m)."""
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    bands = ds.map_batches(
-        MinHashActor, batch_format="pyarrow", batch_size=512, concurrency=(1, 8)
-    )
+    bands = ds.map_batches(_minhash_bands, batch_format="pyarrow", batch_size=512)
 
     def bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
         dup = g[g.duplicated(["band", "band_hash"], keep=False)]
@@ -825,9 +837,7 @@ def minhash_candidates(sf_dir, cap=64, num_partitions=None) -> rd.Dataset:
         )
         return out
 
-    pair_partials = _partition_apply(
-        bands, ["band", "band_hash"], bucket_pairs, num_partitions
-    )
+    pair_partials = _partition_apply(bands, ["band", "band_hash"], bucket_pairs)
 
     # Final per-pair band-count combine, distributed: a pair's partial
     # counts co-locate in one (a, b)-hash partition, so no single task
@@ -837,7 +847,7 @@ def minhash_candidates(sf_dir, cap=64, num_partitions=None) -> rd.Dataset:
             n_bands=("n_bands", "sum")
         )
 
-    return _partition_apply(pair_partials, ["a", "b"], comb, num_partitions)
+    return _partition_apply(pair_partials, ["a", "b"], comb)
 
 
 def _shingle_prep(bits_ref, id_col: str, sh_col: str):
@@ -865,9 +875,7 @@ def _shingle_prep(bits_ref, id_col: str, sh_col: str):
     return prep
 
 
-def _jaccard_verify(
-    cand: rd.Dataset, sf_dir, jaccard_threshold_pct: int, num_partitions
-) -> rd.Dataset:
+def _jaccard_verify(cand: rd.Dataset, sf_dir, jaccard_threshold_pct: int) -> rd.Dataset:
     """Exact shingle-Jaccard verification of LSH candidate pairs.
 
     Joins the candidate pairs back to per-doc shingle-hash sets (two
@@ -880,7 +888,7 @@ def _jaccard_verify(
     # corpus, so computing/shuffling EVERY document's shingle set to
     # verify a few pairs is the wrong exchange.  Broadcast-Bloom
     # semi-join the documents down to pair members first, then shingle
-    # only those.  cand is consumed twice (ids + join) -> materialize.
+    # only those.  cand is materialized to count it.
     cand = cand.materialize()
     n_cand = cand.count()  # free once materialized
     if n_cand == 0:
@@ -896,10 +904,13 @@ def _jaccard_verify(
             )
         )
     # cost-based partition count: one partition per 500 pairs, at most
-    # the caller's; the pairs are re-blocked to match, so no block is
-    # empty (a map passes an empty block on as a schema change)
-    P = max(1, min(_num_partitions(num_partitions), n_cand // 500))
-    pairs = cand.repartition(P)
+    # the default; the pairs are re-blocked to match, so no block is
+    # empty (a map passes an empty block on as a schema change).  They
+    # feed the Bloom build and the join, and are re-blocked before both,
+    # so the verify plan starts with no all-to-all beside its document
+    # reads (see _exchange for R == 1).
+    P = max(1, min(_num_partitions(), n_cand // 500))
+    pairs = cand.repartition(P).materialize()
 
     def pair_ids(t: pa.Table) -> pa.Table:
         both = pa.concat_arrays(
@@ -958,9 +969,7 @@ def _jaccard_verify(
     )
 
 
-def minhash_pairs(
-    sf_dir, jaccard_threshold_pct=80, num_partitions=None, cap=64
-) -> rd.Dataset:
+def minhash_pairs(sf_dir, jaccard_threshold_pct=80, cap=64) -> rd.Dataset:
     """Near-dup document pairs with exact Jaccard stats:
     MinHash-LSH candidate prefilter -> exact shingle-set verification.
     Dataset[(a, b, n_inter, n_union)], a < b.
@@ -974,8 +983,8 @@ def minhash_pairs(
     output equal to the exact O(shared-shingle pairs) DuckDB self-join
     twin.  At 100 TB the same code path holds: candidates stay
     bucketed, verification is a per-partition kernel."""
-    cand = minhash_candidates(sf_dir, cap=cap, num_partitions=num_partitions)
-    return _jaccard_verify(cand, sf_dir, jaccard_threshold_pct, num_partitions)
+    cand = minhash_candidates(sf_dir, cap=cap)
+    return _jaccard_verify(cand, sf_dir, jaccard_threshold_pct)
 
 
 def _cc_driver(pairs) -> dict:
@@ -997,9 +1006,7 @@ def _cc_driver(pairs) -> dict:
     return {x: find(x) for x in parent}
 
 
-def _cc_distributed(
-    edges: rd.Dataset, num_partitions=None, max_iter=25
-) -> rd.Dataset:
+def _cc_distributed(edges: rd.Dataset, max_iter=25) -> rd.Dataset:
     """Connected components by iterative min-label propagation, fully
     in Ray (the 100 TB path — no driver-side edge list).
 
@@ -1008,7 +1015,6 @@ def _cc_distributed(
     endpoints, take the min incoming label per node (keyed combine),
     merge with current labels, stop when no label changed.  Rounds ~
     O(component diameter); near-dup clusters are shallow."""
-    P = _num_partitions(num_partitions)
 
     def both_dirs(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
@@ -1026,10 +1032,10 @@ def _cc_distributed(
         out["label"] = out["node"]
         return out
 
-    labels = _partition_apply(dedges, ["src"], distinct_nodes, P).materialize()
+    labels = _partition_apply(dedges, ["src"], distinct_nodes).materialize()
 
     for _ in range(max_iter):
-        j = _hash_join(dedges, _rename(labels, {"node": "src"}), ("src",), "inner", P)
+        j = _hash_join(dedges, _rename(labels, {"node": "src"}), ("src",))
 
         def min_in_partial(df: pd.DataFrame) -> pd.DataFrame:
             return df.groupby("dst", as_index=False).agg(cand=("label", "min"))
@@ -1042,11 +1048,8 @@ def _cc_distributed(
             min_in_partial,
             min_in_combine,
             ["dst"],
-            P,
         )
-        merged = _hash_join(
-            labels, _rename(cand, {"dst": "node"}), ("node",), "left", P
-        )
+        merged = _hash_join(labels, _rename(cand, {"dst": "node"}), ("node",), "left")
 
         def update(df: pd.DataFrame) -> pd.DataFrame:
             new = df["label"].where(
@@ -1068,12 +1071,12 @@ def _cc_distributed(
     return labels
 
 
-def minhash_dedup(
-    sf_dir,
-    jaccard_threshold_pct=80,
-    num_partitions=None,
-    cc_driver_max_pairs=100_000,
-) -> rd.Dataset:
+# verified-pair count up to which minhash_dedup runs its connected
+# components as driver-side union-find
+_CC_DRIVER_MAX_PAIRS = 100_000
+
+
+def minhash_dedup(sf_dir, jaccard_threshold_pct=80) -> rd.Dataset:
     """Near-dup clusters: LSH candidates -> exact shingle-Jaccard verify
     -> connected components -> Dataset[(doc_id, cluster_id)].
 
@@ -1083,12 +1086,11 @@ def minhash_dedup(
     assignment stays a Dataset (write it to a sink); the
     only driver-held state is O(verified pairs), and only on the
     union-find path.  Components run driver-side union-find while the
-    verified-pair count is small (<= cc_driver_max_pairs); above that
+    verified-pair count is small (<= ``_CC_DRIVER_MAX_PAIRS``); above that
     they switch to distributed min-label propagation
     (`_cc_distributed`).  Final cluster assignment is a left join of
     doc ids against the labels."""
-    P = _num_partitions(num_partitions)
-    cand = minhash_candidates(sf_dir, num_partitions=num_partitions).materialize()
+    cand = minhash_candidates(sf_dir).materialize()
     ids = _read(sf_dir, "documents", ["doc_id"])
 
     def own_cluster(df: pd.DataFrame) -> pd.DataFrame:
@@ -1100,7 +1102,7 @@ def minhash_dedup(
         return ids.map_batches(own_cluster, batch_format="pandas")
 
     verified = (
-        _jaccard_verify(cand, sf_dir, jaccard_threshold_pct, P)
+        _jaccard_verify(cand, sf_dir, jaccard_threshold_pct)
         .select_columns(["a", "b"])
         .materialize()
     )
@@ -1108,7 +1110,7 @@ def minhash_dedup(
     if n_pairs == 0:
         return ids.map_batches(own_cluster, batch_format="pandas")
 
-    if n_pairs <= cc_driver_max_pairs:
+    if n_pairs <= _CC_DRIVER_MAX_PAIRS:
         vp = verified.to_pandas()
         roots = _cc_driver(zip(vp["a"], vp["b"]))
         labels = rd.from_pandas(
@@ -1120,11 +1122,9 @@ def minhash_dedup(
             )
         )
     else:
-        labels = _cc_distributed(verified, P)
+        labels = _cc_distributed(verified)
 
-    joined = _hash_join(
-        ids, _rename(labels, {"node": "doc_id"}), ("doc_id",), "left", P
-    )
+    joined = _hash_join(ids, _rename(labels, {"node": "doc_id"}), ("doc_id",), "left")
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         lab = df["label"].where(df["label"].notna(), df["doc_id"])
@@ -1257,45 +1257,35 @@ def _hyperplane_coded(sf_dir, seed: int, n_planes: int, n_tables: int, batch_siz
     seeded hyperplane sets, offset so buckets never collide across
     tables.  Arrow in/out: the embedding column is REUSED zero-copy in
     each replica instead of boxing every vector into a pandas object
-    cell ``n_tables`` times before the shuffle."""
+    cell ``n_tables`` times before the shuffle.  The planes of table
+    ``tb`` depend only on ``(seed + tb, dim)``, so every batch derives
+    the same ones."""
     pow2 = 1 << np.arange(n_planes)
 
-    class Coder:
-        def __init__(self):
-            self.planes = None
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            col = t["embedding"].combine_chunks()
-            M = _stack_embeddings(col)
-            if self.planes is None:
-                self.planes = [
-                    np.random.RandomState(seed + tb).normal(size=(M.shape[1], n_planes))
-                    for tb in range(n_tables)
-                ]
-            Mn = _normalize_rows(M)
-            tabs = []
-            for tb, pl in enumerate(self.planes):
-                code = ((Mn @ pl) > 0) @ pow2 + tb * (1 << n_planes)
-                tabs.append(
-                    pa.table(
-                        {
-                            "vec_id": t["vec_id"],
-                            "bucket": pa.array(code.astype(np.int64)),
-                            "embedding": col,
-                        }
-                    )
+    def code(t: pa.Table) -> pa.Table:
+        col = t["embedding"].combine_chunks()
+        M = _stack_embeddings(col)
+        Mn = _normalize_rows(M)
+        tabs = []
+        for tb in range(n_tables):
+            pl = np.random.RandomState(seed + tb).normal(size=(M.shape[1], n_planes))
+            bucket = ((Mn @ pl) > 0) @ pow2 + tb * (1 << n_planes)
+            tabs.append(
+                pa.table(
+                    {
+                        "vec_id": t["vec_id"],
+                        "bucket": pa.array(bucket.astype(np.int64)),
+                        "embedding": col,
+                    }
                 )
-            return pa.concat_tables(tabs)
+            )
+        return pa.concat_tables(tabs)
 
     ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    return ds.map_batches(
-        Coder, batch_format="pyarrow", batch_size=batch_size, concurrency=(1, 8)
-    )
+    return ds.map_batches(code, batch_format="pyarrow", batch_size=batch_size)
 
 
-def embedding_near_dups(
-    sf_dir, threshold_pct=95, n_planes=6, n_tables=8, num_partitions=None
-) -> rd.Dataset:
+def embedding_near_dups(sf_dir, threshold_pct=95, n_planes=6, n_tables=8) -> rd.Dataset:
     """Embedding-cosine near-dup pairs via multi-table hyperplane LSH —
     the 100 TB shape: NO full-matrix broadcast, NO O(N^2) similarity.
 
@@ -1337,7 +1327,7 @@ def embedding_near_dups(
             }
         )
 
-    partials = _partition_apply(coded, ["bucket"], bucket_pairs, num_partitions)
+    partials = _partition_apply(coded, ["bucket"], bucket_pairs)
 
     def distinct(df: pd.DataFrame) -> pd.DataFrame:
         return df.drop_duplicates(["a", "b"])
@@ -1345,10 +1335,10 @@ def embedding_near_dups(
     # distinct pairs stay a Dataset all the way (a pair appears once per
     # shared bucket; the (a,b)-hash partition dedupes without a driver
     # merge).  Collected + sorted only in the small-scale convenience.
-    return _partition_apply(partials, ["a", "b"], distinct, num_partitions)
+    return _partition_apply(partials, ["a", "b"], distinct)
 
 
-def _rank_per_query(partial: rd.Dataset, k: int, num_partitions) -> pd.DataFrame:
+def _rank_per_query(partial: rd.Dataset, k: int) -> pd.DataFrame:
     """Per-query top-k from (query_id, neighbor_id, sim) candidates that
     several buckets or lists may repeat: dedupe + rank per query-hash
     partition (ties to the smaller neighbor id); the driver only sorts
@@ -1365,7 +1355,7 @@ def _rank_per_query(partial: rd.Dataset, k: int, num_partitions) -> pd.DataFrame
         top["rank"] = top.groupby("query_id").cumcount() + 1
         return top[["query_id", "neighbor_id", "rank"]]
 
-    res = _partition_apply(partial, ["query_id"], merge_query, num_partitions).to_pandas()
+    res = _partition_apply(partial, ["query_id"], merge_query).to_pandas()
     if len(res) == 0:
         return pd.DataFrame(
             {c: pd.Series(dtype="int64") for c in ("query_id", "neighbor_id", "rank")}
@@ -1373,9 +1363,7 @@ def _rank_per_query(partial: rd.Dataset, k: int, num_partitions) -> pd.DataFrame
     return res.sort_values(["query_id", "rank"], ignore_index=True).astype("int64")
 
 
-def ann_topk_lsh(
-    sf_dir, n_queries=5, k=10, n_planes=6, n_tables=4, num_partitions=None
-) -> pd.DataFrame:
+def ann_topk_lsh(sf_dir, n_queries=5, k=10, n_planes=6, n_tables=4) -> pd.DataFrame:
     """LSH-bucketed ANN (the 100 TB scale path for ``ann_topk``), fully
     on Ray: a map stage codes every vector with ``n_tables`` sets of
     deterministic seeded hyperplanes, rows shuffle by (table, bucket)
@@ -1417,9 +1405,9 @@ def ann_topk_lsh(
             return pd.DataFrame(_empty)
         return pd.concat(frames, ignore_index=True)
 
-    partial = _partition_apply(coded, ["bucket"], bucket_topk, num_partitions)
+    partial = _partition_apply(coded, ["bucket"], bucket_topk)
 
-    return _rank_per_query(partial, k, num_partitions)
+    return _rank_per_query(partial, k)
 
 
 # ---------------------------------------------------------------------------
@@ -1448,30 +1436,25 @@ def ann_topk(sf_dir, n_queries=5, k=10) -> pd.DataFrame:
     q_ids = qdf["vec_id"].to_numpy()
     q_ref = ray.put((q_ids, Qn))
 
-    class Scorer:
-        def __init__(self):
-            self.q_ids, self.Qn = ray.get(q_ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            vec_ids = t["vec_id"].to_numpy(zero_copy_only=False)
-            M = np.stack(t["embedding"].to_pandas().to_numpy()).astype(np.float64)
-            Mn = M / np.linalg.norm(M, axis=1, keepdims=True)
-            sims = Mn @ self.Qn.T  # (batch, n_queries)
-            rows = {"query_id": [], "neighbor_id": [], "score": []}
-            top = min(k, len(vec_ids))
-            for qi, qid in enumerate(self.q_ids):
-                col = sims[:, qi]
-                part = np.argpartition(-col, top - 1)[:top]
-                for r in part:
-                    rows["query_id"].append(int(qid))
-                    rows["neighbor_id"].append(int(vec_ids[r]))
-                    rows["score"].append(float(col[r]))
-            return pa.table(rows)
+    def score(t: pa.Table) -> pa.Table:
+        q_ids, Qn = ray.get(q_ref)
+        vec_ids = t["vec_id"].to_numpy(zero_copy_only=False)
+        M = np.stack(t["embedding"].to_pandas().to_numpy()).astype(np.float64)
+        Mn = M / np.linalg.norm(M, axis=1, keepdims=True)
+        sims = Mn @ Qn.T  # (batch, n_queries)
+        rows = {"query_id": [], "neighbor_id": [], "score": []}
+        top = min(k, len(vec_ids))
+        for qi, qid in enumerate(q_ids):
+            col = sims[:, qi]
+            part = np.argpartition(-col, top - 1)[:top]
+            for r in part:
+                rows["query_id"].append(int(qid))
+                rows["neighbor_id"].append(int(vec_ids[r]))
+                rows["score"].append(float(col[r]))
+        return pa.table(rows)
 
     ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    partial = ds.map_batches(
-        Scorer, batch_format="pyarrow", batch_size=4096, concurrency=(1, 8)
-    ).to_pandas()
+    partial = ds.map_batches(score, batch_format="pyarrow", batch_size=4096).to_pandas()
     partial = partial.sort_values(
         ["query_id", "score", "neighbor_id"], ascending=[True, False, True]
     )
@@ -1505,7 +1488,7 @@ def events_hourly(sf_dir) -> rd.Dataset:
     return _tree_agg(ds, partial)
 
 
-def user_sessions(sf_dir, gap_minutes=30, num_partitions=None) -> rd.Dataset:
+def user_sessions(sf_dir, gap_minutes=30) -> rd.Dataset:
     """Session windows per user: hash-partition on user_id, then ONE
     vectorized sessionization pass per partition (sort by user+ts,
     session breaks where the user changes or the gap exceeds the
@@ -1527,7 +1510,7 @@ def user_sessions(sf_dir, gap_minutes=30, num_partitions=None) -> rd.Dataset:
         )
         return agg.reset_index(drop=True)
 
-    return _partition_apply(ds, ["user_id"], sessions, num_partitions)
+    return _partition_apply(ds, ["user_id"], sessions)
 
 
 # ---------------------------------------------------------------------------
@@ -1543,7 +1526,7 @@ def orders_by_nation(sf_dir) -> rd.Dataset:
     nation = pd.read_parquet(
         _path(sf_dir, "nation"), columns=["n_nationkey", "n_name"]
     )
-    nk = cust.set_index("c_custkey")["c_nationkey"]
+    nk = cust.set_index("c_custkey")["c_nationkey"].sort_index()
     lookup_ref = ray.put(
         (
             nk.index.to_numpy(),
@@ -1552,36 +1535,24 @@ def orders_by_nation(sf_dir) -> rd.Dataset:
         )
     )
 
-    class JoinCount:
-        def __init__(self):
-            keys, vals, names = ray.get(lookup_ref)
-            order = np.argsort(keys)
-            self.keys = keys[order]
-            self.vals = vals[order]
-            self.names = names
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            ck = t["o_custkey"].to_numpy(zero_copy_only=False)
-            idx = np.searchsorted(self.keys, ck)
-            # inner-join semantics: an o_custkey absent from customer is
-            # DROPPED, never silently mapped to the nearest key (orphan
-            # fact rows must not corrupt a nation bucket at scale)
-            valid = (idx < len(self.keys)) & (
-                self.keys[np.minimum(idx, len(self.keys) - 1)] == ck
-            )
-            nkeys = self.vals[idx[valid]]
-            uniq, counts = np.unique(nkeys, return_counts=True)
-            return pa.table(
-                {
-                    "n_name": [self.names[int(u)] for u in uniq],
-                    "n": counts.astype("int64"),
-                }
-            )
+    def join_count(t: pa.Table) -> pa.Table:
+        keys, vals, names = ray.get(lookup_ref)
+        ck = t["o_custkey"].to_numpy(zero_copy_only=False)
+        idx = np.searchsorted(keys, ck)
+        # inner-join semantics: an o_custkey absent from customer is
+        # DROPPED, never silently mapped to the nearest key (orphan
+        # fact rows must not corrupt a nation bucket at scale)
+        valid = (idx < len(keys)) & (keys[np.minimum(idx, len(keys) - 1)] == ck)
+        uniq, counts = np.unique(vals[idx[valid]], return_counts=True)
+        return pa.table(
+            {
+                "n_name": [names[int(u)] for u in uniq],
+                "n": counts.astype("int64"),
+            }
+        )
 
     ds = _read(sf_dir, "orders", ["o_custkey"])
-    partials = ds.map_batches(
-        JoinCount, batch_format="pyarrow", concurrency=(1, 8)
-    )
+    partials = ds.map_batches(join_count, batch_format="pyarrow")
 
     def combine(df: pd.DataFrame) -> pd.DataFrame:
         return df.groupby("n_name", as_index=False).agg(n_orders=("n", "sum"))
@@ -1639,42 +1610,28 @@ def top_parts_by_quantity(sf_dir, k: int = 10) -> pd.DataFrame:
     once with ray.put; lineitem streams through a partial-aggregate
     map — no shuffle join), then a tiny combine + top-k."""
     part = pd.read_parquet(_path(sf_dir, "part"), columns=["p_partkey", "p_name"])
-    pk = part.set_index("p_partkey")["p_name"]
+    pk = part.set_index("p_partkey")["p_name"].sort_index()
     lookup_ref = ray.put((pk.index.to_numpy(), pk.to_numpy()))
 
-    class JoinSum:
-        def __init__(self):
-            keys, names = ray.get(lookup_ref)
-            order = np.argsort(keys)
-            self.keys = keys[order]
-            self.names = names[order]
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            lp = t["l_partkey"].to_numpy(zero_copy_only=False)
-            qty = t["l_quantity"].to_numpy(zero_copy_only=False)
-            idx = np.searchsorted(self.keys, lp)
-            # inner-join semantics: drop l_partkey values absent from part
-            # rather than attributing quantity to the nearest part name
-            valid = (idx < len(self.keys)) & (
-                self.keys[np.minimum(idx, len(self.keys) - 1)] == lp
-            )
-            df = pd.DataFrame(
-                {"p_name": self.names[idx[valid]], "q": qty[valid]}
-            )
-            g = df.groupby("p_name", as_index=False, sort=False).agg(
-                q=("q", "sum")
-            )
-            return pa.table(
-                {
-                    "p_name": pa.array(g["p_name"], pa.string()),
-                    "q": pa.array(g["q"].astype("int64"), pa.int64()),
-                }
-            )
+    def join_sum(t: pa.Table) -> pa.Table:
+        keys, names = ray.get(lookup_ref)
+        lp = t["l_partkey"].to_numpy(zero_copy_only=False)
+        qty = t["l_quantity"].to_numpy(zero_copy_only=False)
+        idx = np.searchsorted(keys, lp)
+        # inner-join semantics: drop l_partkey values absent from part
+        # rather than attributing quantity to the nearest part name
+        valid = (idx < len(keys)) & (keys[np.minimum(idx, len(keys) - 1)] == lp)
+        df = pd.DataFrame({"p_name": names[idx[valid]], "q": qty[valid]})
+        g = df.groupby("p_name", as_index=False, sort=False).agg(q=("q", "sum"))
+        return pa.table(
+            {
+                "p_name": pa.array(g["p_name"], pa.string()),
+                "q": pa.array(g["q"].astype("int64"), pa.int64()),
+            }
+        )
 
     ds = _read(sf_dir, "lineitem", ["l_partkey", "l_quantity"])
-    partials = ds.map_batches(
-        JoinSum, batch_format="pyarrow", concurrency=(1, 8)
-    )
+    partials = ds.map_batches(join_sum, batch_format="pyarrow")
 
     def combine(df: pd.DataFrame) -> pd.DataFrame:
         col = "total_qty" if "total_qty" in df.columns else "q"
@@ -1687,7 +1644,7 @@ def top_parts_by_quantity(sf_dir, k: int = 10) -> pd.DataFrame:
     return agg.head(k).astype({"total_qty": "int64"})
 
 
-def dup_group_histogram(sf_dir, num_partitions=None) -> rd.Dataset:
+def dup_group_histogram(sf_dir) -> rd.Dataset:
     """Exact-duplicate group-size HISTOGRAM: (n_copies, n_groups) —
     the dedup-audit view (how much of the corpus is literal copies).
     Output is bounded by the largest group size, so it stays tiny at
@@ -1719,8 +1676,7 @@ def dup_group_histogram(sf_dir, num_partitions=None) -> rd.Dataset:
         return hist.astype({"n_copies": "int64", "n_groups": "int64"})
 
     per_part = _partition_apply(
-        ds.map_batches(partial, batch_format="pyarrow"), ["h"], combine,
-        num_partitions,
+        ds.map_batches(partial, batch_format="pyarrow"), ["h"], combine
     )
 
     def final(df: pd.DataFrame) -> pd.DataFrame:
@@ -1768,32 +1724,25 @@ def contamination_check(sf_dir, n_probes: int = 16, ngram: int = 8) -> rd.Datase
             )
     probes_ref = ray.put(probe_hashes)
 
-    class Scanner:
-        def __init__(self):
-            self.probes = ray.get(probes_ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            sh = _batch_shingle_hashes(t["text"].to_pylist(), k=ngram)
-            hits = [
-                int(np.isin(a, self.probes, assume_unique=True).sum())
-                if a.size
-                else 0
-                for a in sh
-            ]
-            return pa.table(
-                {
-                    "doc_id": t["doc_id"],
-                    "n_contaminated_ngrams": pa.array(hits, pa.int64()),
-                }
-            )
+    def scan(t: pa.Table) -> pa.Table:
+        probes = ray.get(probes_ref)
+        sh = _batch_shingle_hashes(t["text"].to_pylist(), k=ngram)
+        hits = [
+            int(np.isin(a, probes, assume_unique=True).sum()) if a.size else 0
+            for a in sh
+        ]
+        return pa.table(
+            {
+                "doc_id": t["doc_id"],
+                "n_contaminated_ngrams": pa.array(hits, pa.int64()),
+            }
+        )
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    return ds.map_batches(
-        Scanner, batch_format="pyarrow", batch_size=1024, concurrency=(1, 8)
-    )
+    return ds.map_batches(scan, batch_format="pyarrow", batch_size=1024)
 
 
-def pack_sequences(sf_dir, seq_len: int = 2048, num_partitions=None) -> rd.Dataset:
+def pack_sequences(sf_dir, seq_len: int = 2048) -> rd.Dataset:
     """Greedy sequence packing for training: bin documents (by
     whitespace token count) into fixed-size windows, the standard
     pretraining batch-prep step.  Emits one row per pack:
@@ -1859,7 +1808,7 @@ def pack_sequences(sf_dir, seq_len: int = 2048, num_partitions=None) -> rd.Datas
             }
         )
 
-    return _exchange([(toks, ["doc_id"])], pack, num_partitions)
+    return _exchange([(toks, ["doc_id"])], pack)
 
 
 # ---------------------------------------------------------------------------
@@ -1945,9 +1894,7 @@ def winnow_fingerprints(sf_dir, k: int = 5, w: int = 8) -> rd.Dataset:
     return ds.map_batches(f, batch_format="pyarrow", batch_size=1024)
 
 
-def ann_topk_ivf(
-    sf_dir, n_queries=5, k=10, n_lists=16, n_probe=4, num_partitions=None
-) -> pd.DataFrame:
+def ann_topk_ivf(sf_dir, n_queries=5, k=10, n_lists=16, n_probe=4) -> pd.DataFrame:
     """IVF-style ANN (the coarse-quantizer alternative to the LSH path):
     deterministic sampled centroids partition the corpus into inverted
     lists; each query searches only its ``n_probe`` nearest lists.
@@ -1990,26 +1937,20 @@ def ann_topk_ivf(
 
     ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
 
-    class Assigner:
-        def __init__(self):
-            self.C = ray.get(c_ref)
+    def assign(t: pa.Table) -> pa.Table:
+        # Arrow in/out: embedding column passes through zero-copy
+        col = t["embedding"].combine_chunks()
+        Mn = _normalize_rows(_stack_embeddings(col))
+        lists = np.argmax(Mn @ ray.get(c_ref).T, axis=1)
+        return pa.table(
+            {
+                "vec_id": t["vec_id"],
+                "list_id": pa.array(lists.astype(np.int64)),
+                "embedding": col,
+            }
+        )
 
-        def __call__(self, t: pa.Table) -> pa.Table:
-            # Arrow in/out: embedding column passes through zero-copy
-            col = t["embedding"].combine_chunks()
-            Mn = _normalize_rows(_stack_embeddings(col))
-            lists = np.argmax(Mn @ self.C.T, axis=1)
-            return pa.table(
-                {
-                    "vec_id": t["vec_id"],
-                    "list_id": pa.array(lists.astype(np.int64)),
-                    "embedding": col,
-                }
-            )
-
-    assigned = ds.map_batches(
-        Assigner, batch_format="pyarrow", batch_size=4096, concurrency=(1, 8)
-    )
+    assigned = ds.map_batches(assign, batch_format="pyarrow", batch_size=4096)
 
     # queries probe their n_probe nearest lists (driver computes the tiny
     # query->lists map from the broadcast centroids)
@@ -2059,9 +2000,9 @@ def ann_topk_ivf(
             return pd.DataFrame(_empty)
         return pd.concat(frames, ignore_index=True)
 
-    partial = _partition_apply(assigned, ["list_id"], list_topk, num_partitions)
+    partial = _partition_apply(assigned, ["list_id"], list_topk)
 
-    return _rank_per_query(partial, k, num_partitions)
+    return _rank_per_query(partial, k)
 
 
 # ---------------------------------------------------------------------------
@@ -2076,7 +2017,6 @@ def asof_join(
     left_by: str,
     right_by: str,
     right_tiebreak=(),
-    num_partitions=None,
 ) -> rd.Dataset:
     """Distributed as-of join — for every left row, the single right row
     with the greatest ``right_on`` value <= ``left_on`` among rows whose
@@ -2121,11 +2061,11 @@ def asof_join(
         )
 
     return _exchange(
-        [(left, [left_by]), (right, [right_by])], join_part, num_partitions
+        [(left, [left_by]), (right, [right_by])], join_part
     )
 
 
-def last_order_asof(sf_dir, num_partitions=None) -> rd.Dataset:
+def last_order_asof(sf_dir) -> rd.Dataset:
     """For every event, the latest order the same user placed at or
     before the event time (inner as-of semantics: events with no prior
     order are dropped).  Ties on order date break to the greatest
@@ -2141,7 +2081,6 @@ def last_order_asof(sf_dir, num_partitions=None) -> rd.Dataset:
         left_by="user_id",
         right_by="o_custkey",
         right_tiebreak=["o_orderkey"],
-        num_partitions=num_partitions,
     )
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
@@ -2227,7 +2166,7 @@ def repetition_signals(sf_dir) -> rd.Dataset:
 # per-group top-k
 
 
-def top_docs_per_lang(sf_dir, k: int = 5, num_partitions=None) -> rd.Dataset:
+def top_docs_per_lang(sf_dir, k: int = 5) -> rd.Dataset:
     """Top-k longest documents per language — the per-group top-k
     pattern (corpus QA: eyeball the largest docs in every language
     bucket).  Each batch first cuts itself to its own per-group top-k,
@@ -2253,10 +2192,10 @@ def top_docs_per_lang(sf_dir, k: int = 5, num_partitions=None) -> rd.Dataset:
         )
         return top[["lang", "doc_id", "n_chars", "rank"]]
 
-    return _keyed_agg(ds, partial, combine, ["lang"], num_partitions)
+    return _keyed_agg(ds, partial, combine, ["lang"])
 
 
-def top_bigrams(sf_dir, k: int = 50, num_partitions=None) -> pd.DataFrame:
+def top_bigrams(sf_dir, k: int = 50) -> pd.DataFrame:
     """Global top-k word-bigram counts — the n-gram-statistics stage a
     corpus-mixing pipeline runs before choosing filter thresholds.
 
@@ -2287,10 +2226,10 @@ def top_bigrams(sf_dir, k: int = 50, num_partitions=None) -> pd.DataFrame:
         g.columns = ["bigram", "n"]
         return g
 
-    return _top_counts(ds, partial, "bigram", k, num_partitions)
+    return _top_counts(ds, partial, "bigram", k)
 
 
-def segment_dedup(sf_dir, seg_words: int = 10, num_partitions=None) -> rd.Dataset:
+def segment_dedup(sf_dir, seg_words: int = 10) -> rd.Dataset:
     """Chunk-level exact dedup: split every document into fixed-size
     word segments and keep each distinct segment only at its
     corpus-wide first occurrence (min ``(doc_id, seg_idx)``) — the
@@ -2334,10 +2273,10 @@ def segment_dedup(sf_dir, seg_words: int = 10, num_partitions=None) -> rd.Datase
         ]
 
     segs = ds.map_batches(to_segments, batch_format="pandas")
-    return _partition_apply(segs, ["segment"], winners, num_partitions)
+    return _partition_apply(segs, ["segment"], winners)
 
 
-def props_key_stats(sf_dir, num_partitions=None) -> rd.Dataset:
+def props_key_stats(sf_dir) -> rd.Dataset:
     """Per-event-type stats over a field EXTRACTED from the semi-
     structured ``props`` JSON payload — the schema-on-read pattern
     (regex field pull, no JSON parser in the hot path).
@@ -2373,7 +2312,7 @@ def props_key_stats(sf_dir, num_partitions=None) -> rd.Dataset:
     return _tree_agg(ds, partial, combine)
 
 
-def tfidf_top_terms(sf_dir, num_partitions=None) -> rd.Dataset:
+def tfidf_top_terms(sf_dir) -> rd.Dataset:
     """Per-document most-distinctive term by tf-idf
     (``tf * ln(N / df)``, ties to the lexicographically smallest
     term) — the summarization/keyword stage of a corpus QA pipeline.
@@ -2411,7 +2350,7 @@ def tfidf_top_terms(sf_dir, num_partitions=None) -> rd.Dataset:
         g["df"] = g.groupby("term")["doc_id"].transform("nunique").astype("int64")
         return g
 
-    scored = _partition_apply(tf, ["term"], attach_df, num_partitions)
+    scored = _partition_apply(tf, ["term"], attach_df)
 
     def argmax_per_doc(g: pd.DataFrame) -> pd.DataFrame:
         score = np.round(
@@ -2426,7 +2365,7 @@ def tfidf_top_terms(sf_dir, num_partitions=None) -> rd.Dataset:
         top = g.groupby("doc_id", sort=False, as_index=False).head(1)
         return top[["doc_id", "term", "tf", "df"]]
 
-    return _partition_apply(scored, ["doc_id"], argmax_per_doc, num_partitions)
+    return _partition_apply(scored, ["doc_id"], argmax_per_doc)
 
 
 def chars_percentiles(sf_dir, pcts=(25, 50, 75, 90, 99)) -> pd.DataFrame:
@@ -2465,7 +2404,7 @@ def chars_percentiles(sf_dir, pcts=(25, 50, 75, 90, 99)) -> pd.DataFrame:
     )
 
 
-def quota_sample_per_source(sf_dir, k: int = 20, num_partitions=None) -> rd.Dataset:
+def quota_sample_per_source(sf_dir, k: int = 20) -> rd.Dataset:
     """Deterministic stratified sample: the k pseudo-random documents
     per source, chosen by smallest ``md5(doc_id)`` — the domain-mixing
     primitive (cap every source at a quota before blending a training
@@ -2503,12 +2442,10 @@ def quota_sample_per_source(sf_dir, k: int = 20, num_partitions=None) -> rd.Data
         ).astype("int64")
         return top[["source", "doc_id", "rank"]]
 
-    return _keyed_agg(ds, partial, combine, ["source"], num_partitions)
+    return _keyed_agg(ds, partial, combine, ["source"])
 
 
-def kmeans_clusters(
-    sf_dir, k: int = 8, n_iter: int = 8, num_partitions=None
-) -> rd.Dataset:
+def kmeans_clusters(sf_dir, k: int = 8, n_iter: int = 8) -> rd.Dataset:
     """Distributed Lloyd k-means over the embedding column — the
     corpus-clustering stage (topic bucketing, diversity sampling,
     per-cluster quotas) of a training-data pipeline.
@@ -2602,7 +2539,7 @@ def kmeans_clusters(
     return ds.map_batches(label, batch_format="pyarrow")
 
 
-def source_label_stats(sf_dir, num_partitions=None) -> rd.Dataset:
+def source_label_stats(sf_dir) -> rd.Dataset:
     """Per-(source, label) corpus stats across a LARGE-LARGE join:
     documents x embeddings on doc_id = vec_id, then count + sum(chars)
     per (source, label) cell — the "slice the corpus by provenance x
@@ -2621,8 +2558,7 @@ def source_label_stats(sf_dir, num_partitions=None) -> rd.Dataset:
         _read(sf_dir, "embeddings", ["vec_id", "label"]),
         {"vec_id": "doc_id"},
     )
-    joined = _hash_join(docs, embs, on=["doc_id"],
-                        num_partitions=num_partitions)
+    joined = _hash_join(docs, embs, on=["doc_id"])
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         g = (
@@ -2641,8 +2577,7 @@ def source_label_stats(sf_dir, num_partitions=None) -> rd.Dataset:
         out["label"] = out["label"].astype("int64")
         return out.astype({"n_docs": "int64", "sum_chars": "int64"})
 
-    return _keyed_agg(joined, partial, combine, ["source", "label"],
-                      num_partitions)
+    return _keyed_agg(joined, partial, combine, ["source", "label"])
 
 
 def shipping_priority(
@@ -2650,7 +2585,6 @@ def shipping_priority(
     segment: str = "BUILDING",
     cutoff: str = "1998-01-01",
     k: int = 10,
-    num_partitions=None,
 ) -> pd.DataFrame:
     """TPC-H Q3 shape: unshipped-order revenue — customer(segment) x
     orders(before cutoff) x lineitem(shipped after cutoff), revenue
@@ -2665,7 +2599,6 @@ def shipping_priority(
     import datetime
 
     cut = datetime.datetime.fromisoformat(cutoff)
-    P = _num_partitions(num_partitions)
 
     cust_path = _path(sf_dir, "customer")
     cust = rd.read_parquet(
@@ -2709,7 +2642,7 @@ def shipping_priority(
             }
         )
 
-    j1 = _hash_join(orders, cust, on=["o_custkey"], num_partitions=P)
+    j1 = _hash_join(orders, cust, on=["o_custkey"])
     j1 = j1.map_batches(
         lambda df: df[["o_orderkey", "o_orderdate", "o_orderpriority"]]
         .rename(columns={"o_orderkey": "l_orderkey"}),
@@ -2719,7 +2652,6 @@ def shipping_priority(
         j1,
         li.map_batches(li_prep, batch_format="pyarrow"),
         on=["l_orderkey"],
-        num_partitions=P,
     )
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -2745,7 +2677,7 @@ def shipping_priority(
             ["revenue", "l_orderkey"], ascending=[False, True]
         ).head(k)
 
-    parts = _keyed_agg(j2, partial, combine, ["l_orderkey"], P).to_pandas()
+    parts = _keyed_agg(j2, partial, combine, ["l_orderkey"]).to_pandas()
     top = parts.sort_values(
         ["revenue", "l_orderkey"], ascending=[False, True], ignore_index=True
     ).head(k)
@@ -2810,7 +2742,6 @@ def _semi_anti_join(
     right_keys: rd.Dataset,
     on: str,
     anti: bool = False,
-    num_partitions=None,
 ) -> rd.Dataset:
     """Distributed semi-join (``anti=False``: keep left rows whose key
     EXISTS on the right) / anti-join (``anti=True``: keep left rows
@@ -2836,12 +2767,10 @@ def _semi_anti_join(
         mask = lft[on].isin(rt[on].to_pandas() if rt is not None else [])
         return lft[~mask if anti else mask]
 
-    return _exchange([(left, [on]), (keys, [on])], filter_part, num_partitions)
+    return _exchange([(left, [on]), (keys, [on])], filter_part)
 
 
-def priority_semi_counts(
-    sf_dir, flag: str = "R", num_partitions=None
-) -> rd.Dataset:
+def priority_semi_counts(sf_dir, flag: str = "R") -> rd.Dataset:
     """TPC-H Q4 shape: per-priority counts of orders that HAVE at least
     one returned lineitem (EXISTS) — a distributed semi-join.  The
     lineitem side is predicate-pushed at the parquet read and reduced
@@ -2859,8 +2788,7 @@ def priority_semi_counts(
         batch_format="pyarrow",
     )
 
-    hits = _semi_anti_join(orders, li, on="o_orderkey",
-                           num_partitions=num_partitions)
+    hits = _semi_anti_join(orders, li, on="o_orderkey")
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         col = "n_orders" if "n_orders" in df.columns else "o_orderkey"
@@ -2874,9 +2802,7 @@ def priority_semi_counts(
     return _tree_agg(hits, partial)
 
 
-def churned_customers(
-    sf_dir, cutoff: str = "2000-01-01", num_partitions=None
-) -> rd.Dataset:
+def churned_customers(sf_dir, cutoff: str = "2000-01-01") -> rd.Dataset:
     """Anti-join churn audit: per-segment count + account-balance mass
     of customers with NO order on/after ``cutoff`` (NOT EXISTS).  The
     order side is predicate-pushed at the parquet read; balance is
@@ -2900,8 +2826,7 @@ def churned_customers(
         batch_format="pyarrow",
     )
 
-    idle = _semi_anti_join(cust, orders, on="c_custkey", anti=True,
-                           num_partitions=num_partitions)
+    idle = _semi_anti_join(cust, orders, on="c_custkey", anti=True)
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         if "n_customers" in df.columns:
@@ -2924,7 +2849,7 @@ def churned_customers(
 # window functions, sketches, range join, rollup
 
 
-def event_interarrival(sf_dir, num_partitions=None) -> rd.Dataset:
+def event_interarrival(sf_dir) -> rd.Dataset:
     """Windowed LAG over the event stream: per event_type, the count /
     sum / max of inter-arrival gaps (microseconds between an event and
     the SAME user's previous event, ordered by ts then event_id).
@@ -2956,7 +2881,7 @@ def event_interarrival(sf_dir, num_partitions=None) -> rd.Dataset:
             max_gap_us=("gap_us", "max"),
         )
 
-    partials = _partition_apply(ds, ["user_id"], gaps, num_partitions)
+    partials = _partition_apply(ds, ["user_id"], gaps)
 
     def combine(df: pd.DataFrame) -> pd.DataFrame:
         return df.groupby("event_type", as_index=False).agg(
@@ -3072,7 +2997,7 @@ def price_band_stats(sf_dir) -> rd.Dataset:
     return _tree_agg(ds, partial)
 
 
-def source_lang_rollup(sf_dir, num_partitions=None) -> rd.Dataset:
+def source_lang_rollup(sf_dir) -> rd.Dataset:
     """GROUP BY ROLLUP(source, lang): doc counts + char mass at the
     finest (source, lang) level, per-source subtotals, and the grand
     total — subtotal rows carry 'ALL'.  Distributed shape: per-batch
@@ -3092,8 +3017,7 @@ def source_lang_rollup(sf_dir, num_partitions=None) -> rd.Dataset:
             n_docs=("n_docs", "sum"), sum_chars=("sum_chars", "sum")
         )
 
-    finest = _keyed_agg(ds, partial, combine, ["source", "lang"],
-                        num_partitions)
+    finest = _keyed_agg(ds, partial, combine, ["source", "lang"])
 
     def rollup(df: pd.DataFrame) -> pd.DataFrame:
         by_source = df.groupby("source", as_index=False).agg(
@@ -3116,7 +3040,7 @@ def source_lang_rollup(sf_dir, num_partitions=None) -> rd.Dataset:
     return _tree_agg(finest, None, rollup)
 
 
-def small_quantity_revenue(sf_dir, num_partitions=None) -> rd.Dataset:
+def small_quantity_revenue(sf_dir) -> rd.Dataset:
     """TPC-H Q17 shape — self-aggregation join: revenue mass of
     lineitems whose quantity is below 20% of their OWN part's average
     quantity, rolled up per part brand.
@@ -3133,7 +3057,6 @@ def small_quantity_revenue(sf_dir, num_partitions=None) -> rd.Dataset:
     li = _read(
         sf_dir, "lineitem", ["l_partkey", "l_quantity", "l_extendedprice"]
     )
-    P = _num_partitions(num_partitions)
 
     def stat_partial(df: pd.DataFrame) -> pd.DataFrame:
         q = np.rint(df["l_quantity"].to_numpy()).astype(np.int64)
@@ -3148,7 +3071,7 @@ def small_quantity_revenue(sf_dir, num_partitions=None) -> rd.Dataset:
             s=("s", "sum"), n=("n", "sum")
         )
 
-    stats = _keyed_agg(li, stat_partial, stat_combine, ["l_partkey"], P)
+    stats = _keyed_agg(li, stat_partial, stat_combine, ["l_partkey"])
 
     part = pd.read_parquet(
         _path(sf_dir, "part"), columns=["p_partkey", "p_brand"]
@@ -3161,37 +3084,23 @@ def small_quantity_revenue(sf_dir, num_partitions=None) -> rd.Dataset:
         )
     )
 
-    joined = _hash_join(li, stats, on=["l_partkey"], num_partitions=P)
+    joined = _hash_join(li, stats, on=["l_partkey"])
 
-    class FilterBrand:
-        def __init__(self):
-            self.keys, self.brands = ray.get(brand_ref)
+    def filter_brand(df: pd.DataFrame) -> pd.DataFrame:
+        keys, brands = ray.get(brand_ref)
+        q = np.rint(df["l_quantity"].to_numpy()).astype(np.int64)
+        keep = 5 * q * df["n"].to_numpy() < df["s"].to_numpy()
+        pk = df["l_partkey"].to_numpy()[keep]
+        cents = np.rint(df["l_extendedprice"].to_numpy()[keep] * 100).astype(np.int64)
+        idx = np.searchsorted(keys, pk)
+        valid = (idx < len(keys)) & (keys[np.minimum(idx, len(keys) - 1)] == pk)
+        return (
+            pd.DataFrame({"p_brand": brands[idx[valid]], "cents": cents[valid]})
+            .groupby("p_brand", as_index=False)
+            .agg(n_items=("cents", "size"), revenue_cents=("cents", "sum"))
+        )
 
-        def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-            q = np.rint(df["l_quantity"].to_numpy()).astype(np.int64)
-            keep = 5 * q * df["n"].to_numpy() < df["s"].to_numpy()
-            pk = df["l_partkey"].to_numpy()[keep]
-            cents = np.rint(
-                df["l_extendedprice"].to_numpy()[keep] * 100
-            ).astype(np.int64)
-            idx = np.searchsorted(self.keys, pk)
-            valid = (idx < len(self.keys)) & (
-                self.keys[np.minimum(idx, len(self.keys) - 1)] == pk
-            )
-            return (
-                pd.DataFrame(
-                    {
-                        "p_brand": self.brands[idx[valid]],
-                        "cents": cents[valid],
-                    }
-                )
-                .groupby("p_brand", as_index=False)
-                .agg(n_items=("cents", "size"), revenue_cents=("cents", "sum"))
-            )
-
-    partials = joined.map_batches(
-        FilterBrand, batch_format="pandas", concurrency=(1, 8)
-    )
+    partials = joined.map_batches(filter_brand, batch_format="pandas")
 
     def combine(df: pd.DataFrame) -> pd.DataFrame:
         return df.groupby("p_brand", as_index=False).agg(
@@ -3229,7 +3138,7 @@ def lang_source_pivot(sf_dir) -> rd.Dataset:
     return _tree_agg(ds, partial)
 
 
-def heavy_hitters(sf_dir, phi_den: int = 1000, num_partitions=None) -> pd.DataFrame:
+def heavy_hitters(sf_dir, phi_den: int = 1000) -> pd.DataFrame:
     """EXACT heavy hitters (words with frequency > 1/``phi_den`` of
     all tokens) via the classic two-pass sketch-then-verify shape:
 
@@ -3265,29 +3174,19 @@ def heavy_hitters(sf_dir, phi_den: int = 1000, num_partitions=None) -> pd.DataFr
     cand = _tree_agg(ds, mg_partial).to_pandas()
     cand_ref = ray.put(frozenset(cand["word"]))
 
-    class ExactCount:
-        def __init__(self):
-            self.cand = ray.get(cand_ref)
+    def exact_count(df: pd.DataFrame) -> pd.DataFrame:
+        words = df["text"].str.split().explode().dropna()
+        total = len(words)
+        hits = words[words.isin(ray.get(cand_ref))]
+        out = hits.value_counts().rename_axis("word").reset_index(name="n")
+        # token total rides along per row-group via a sentinel row
+        # ('' is unreachable: whitespace split never yields it)
+        out.loc[len(out)] = ["", 0]
+        out["n"] = out["n"].astype("int64")
+        out["total"] = np.int64(total)
+        return out
 
-        def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-            if "total" in df.columns:  # combining partials
-                return df.groupby("word", as_index=False).agg(
-                    n=("n", "sum"), total=("total", "sum")
-                )
-            words = df["text"].str.split().explode().dropna()
-            total = len(words)
-            hits = words[words.isin(self.cand)]
-            out = hits.value_counts().rename_axis("word").reset_index(name="n")
-            # token total rides along per row-group via a sentinel row
-            # ('' is unreachable: whitespace split never yields it)
-            out.loc[len(out)] = ["", 0]
-            out["n"] = out["n"].astype("int64")
-            out["total"] = np.int64(total)
-            return out
-
-    partials = ds.map_batches(
-        ExactCount, batch_format="pandas", concurrency=(1, 8)
-    )
+    partials = ds.map_batches(exact_count, batch_format="pandas")
     agg = _tree_agg(
         partials,
         None,
@@ -3302,7 +3201,7 @@ def heavy_hitters(sf_dir, phi_den: int = 1000, num_partitions=None) -> pd.DataFr
     )
 
 
-def unigram_surprisal(sf_dir, num_partitions=None) -> rd.Dataset:
+def unigram_surprisal(sf_dir) -> rd.Dataset:
     """Per-document cross-entropy under the corpus' own unigram LM —
     the CCNet/Gopher-style LM quality signal.  Emits integer
     micro-bits: each word's surprisal ``log2(total/count)`` is
@@ -3317,7 +3216,6 @@ def unigram_surprisal(sf_dir, num_partitions=None) -> rd.Dataset:
     word hash (vocabulary never broadcasts or funnels), and per-doc
     sums are one more keyed pass on doc hash."""
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    P = _num_partitions(num_partitions)
 
     def tf_partial(df: pd.DataFrame) -> pd.DataFrame:
         ex = df.set_index("doc_id")["text"].str.findall(r"\S+").explode().dropna()
@@ -3347,14 +3245,14 @@ def unigram_surprisal(sf_dir, num_partitions=None) -> rd.Dataset:
         g["q"] = q * g["tf"].to_numpy()
         return g
 
-    scored = _partition_apply(tf, ["word"], attach_q, P)
+    scored = _partition_apply(tf, ["word"], attach_q)
 
     def per_doc(g: pd.DataFrame) -> pd.DataFrame:
         return g.groupby("doc_id", as_index=False).agg(
             n_tokens=("tf", "sum"), microbits=("q", "sum")
         )
 
-    return _partition_apply(scored, ["doc_id"], per_doc, P)
+    return _partition_apply(scored, ["doc_id"], per_doc)
 
 
 def rolling_daily_revenue(sf_dir, window: int = 7) -> pd.DataFrame:
@@ -3394,7 +3292,7 @@ def rolling_daily_revenue(sf_dir, window: int = 7) -> pd.DataFrame:
     return daily
 
 
-def source_median_chars(sf_dir, num_partitions=None) -> rd.Dataset:
+def source_median_chars(sf_dir) -> rd.Dataset:
     """Per-group EXACT median via the value-histogram trick: keyed
     (source, n_chars) counts — bounded by distinct (group, value)
     pairs, never row count — then one vectorized cumsum per source
@@ -3430,15 +3328,13 @@ def source_median_chars(sf_dir, num_partitions=None) -> rd.Dataset:
             out, columns=["source", "median_chars", "n_docs"]
         ).astype({"median_chars": "int64", "n_docs": "int64"})
 
-    return _partition_apply(partials, ["source"], median_per_source,
-                            num_partitions)
+    return _partition_apply(partials, ["source"], median_per_source)
 
 
 def funnel_counts(
     sf_dir,
     stages: tuple = ("view", "click", "purchase"),
     within_hours: int = 12,
-    num_partitions=None,
 ) -> pd.DataFrame:
     """Ordered-funnel analytics: how many users performed stage 1,
     then stage 2 STRICTLY AFTER their first stage-1 event but within
@@ -3467,12 +3363,12 @@ def funnel_counts(
             counts.append(np.int64(len(cur)))
         return pd.DataFrame([counts], columns=cols)
 
-    parts = _partition_apply(ds, ["user_id"], funnel_part, num_partitions)
+    parts = _partition_apply(ds, ["user_id"], funnel_part)
     total = parts.to_pandas()[cols].sum()
     return pd.DataFrame([total.to_list()], columns=cols).astype("int64")
 
 
-def distinct_users_exact(sf_dir, num_partitions=None) -> rd.Dataset:
+def distinct_users_exact(sf_dir) -> rd.Dataset:
     """EXACT distinct users per event_type — the precise twin of
     ``approx_distinct_users`` (HLL), kept for corpora where the group
     count is small enough to afford it.  Per-batch distinct pairs slim
@@ -3495,7 +3391,7 @@ def distinct_users_exact(sf_dir, num_partitions=None) -> rd.Dataset:
             .rename(columns={"size": "n_users"})
         )
 
-    parts = _partition_apply(dd, ["user_id"], count_part, num_partitions)
+    parts = _partition_apply(dd, ["user_id"], count_part)
 
     def combine(df: pd.DataFrame) -> pd.DataFrame:
         return df.groupby("event_type", as_index=False).agg(
@@ -3505,7 +3401,7 @@ def distinct_users_exact(sf_dir, num_partitions=None) -> rd.Dataset:
     return _tree_agg(parts, None, combine)
 
 
-def first_events_per_user(sf_dir, k: int = 3, num_partitions=None) -> rd.Dataset:
+def first_events_per_user(sf_dir, k: int = 3) -> rd.Dataset:
     """ROW_NUMBER window shape: each user's first ``k`` events with
     their 1-based sequence number (ordered by ts then event_id, so the
     numbering is deterministic under timestamp ties).
@@ -3523,10 +3419,10 @@ def first_events_per_user(sf_dir, k: int = 3, num_partitions=None) -> rd.Dataset
             {"seqno": "int64"}
         )
 
-    return _partition_apply(ds, ["user_id"], number, num_partitions)
+    return _partition_apply(ds, ["user_id"], number)
 
 
-def cohort_retention(sf_dir, num_partitions=None) -> rd.Dataset:
+def cohort_retention(sf_dir) -> rd.Dataset:
     """Cohort retention matrix: users bucketed by the DAY of their
     FIRST event (cohort), counted once per day offset on which they
     were active again — the standard product-retention rollup (daily
@@ -3558,7 +3454,7 @@ def cohort_retention(sf_dir, num_partitions=None) -> rd.Dataset:
             .rename(columns={"size": "n_users"})
         )
 
-    parts = _partition_apply(ds, ["user_id"], retention_part, num_partitions)
+    parts = _partition_apply(ds, ["user_id"], retention_part)
 
     def combine(df: pd.DataFrame) -> pd.DataFrame:
         return df.groupby(

@@ -464,7 +464,7 @@ def span_fingerprints(ds: rd.Dataset) -> rd.Dataset:
     return ds.map_batches(fp, batch_format="pyarrow")
 
 
-def conformance_diff(sf_dir, num_partitions: int = 16) -> rd.Dataset:
+def conformance_diff(sf_dir) -> rd.Dataset:
     """Ray-scale span-equality audit (SURVEY.md §2.3 'Conformance diff').
 
     Joins the distributed pipeline's span fingerprints against an
@@ -511,9 +511,7 @@ def conformance_diff(sf_dir, num_partitions: int = 16) -> rd.Dataset:
         )
         return t.filter(pc.invert(pc.equal(t["fp_engine"], t["fp_oracle"])))
 
-    return _exchange(
-        [(engine, ["doc_id"]), (ref, ["doc_id"])], mismatches, num_partitions
-    )
+    return _exchange([(engine, ["doc_id"]), (ref, ["doc_id"])], mismatches)
 
 
 def reserialized(sf_dir, **options) -> rd.Dataset:
@@ -551,7 +549,7 @@ def reserialized(sf_dir, **options) -> rd.Dataset:
     )
 
 
-def dedup_output(ds: rd.Dataset, num_partitions: int | None = None) -> rd.Dataset:
+def dedup_output(ds: rd.Dataset) -> rd.Dataset:
     """Duplicate-doc_id guard for resumed/unioned outputs (SURVEY.md
     §2.3): hash-partition on doc_id so equal ids co-locate, then one
     vectorized drop_duplicates per PARTITION.  Same semantics as a
@@ -562,7 +560,7 @@ def dedup_output(ds: rd.Dataset, num_partitions: int | None = None) -> rd.Datase
     def first_per_id(g):
         return g.drop_duplicates("doc_id")
 
-    return _partition_apply(ds, ["doc_id"], first_per_id, num_partitions)
+    return _partition_apply(ds, ["doc_id"], first_per_id)
 
 
 def spans_flat(ds: rd.Dataset) -> rd.Dataset:

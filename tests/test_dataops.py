@@ -221,7 +221,7 @@ def test_minhash_dedup_matches_bruteforce_reference(tmp_path):
     assert cmap == want
 
 
-def test_minhash_dedup_distributed_cc_path(tmp_path):
+def test_minhash_dedup_distributed_cc_path(tmp_path, monkeypatch):
     """Force the distributed min-label-propagation path (driver
     union-find disabled) and check it produces the same clusters."""
     from html_extract import dataops as D
@@ -240,7 +240,8 @@ def test_minhash_dedup_distributed_cc_path(tmp_path):
     _write_docs(tmp_path, ids, texts)
 
     got_driver = U.minhash_dedup_df(str(tmp_path))
-    got_dist = U.minhash_dedup_df(str(tmp_path), cc_driver_max_pairs=0)
+    monkeypatch.setattr(D, "_CC_DRIVER_MAX_PAIRS", 0)
+    got_dist = U.minhash_dedup_df(str(tmp_path))
     d1 = dict(zip(got_driver["doc_id"], got_driver["cluster_id"]))
     d2 = dict(zip(got_dist["doc_id"], got_dist["cluster_id"]))
     assert d1 == d2
@@ -733,7 +734,7 @@ def test_broadcast_joins_drop_orphan_fact_keys(tmp_path):
     }
 
 
-def test_pack_sequences_ids_unique_across_many_partitions(tmp_path):
+def test_pack_sequences_ids_unique_across_many_partitions(tmp_path, monkeypatch):
     """ADVICE r3: pack_id prefixes come from the partition id itself,
     so ids can never collide corpus-wide (the old first-doc-hash
     prefix had birthday collisions at ~1e3 partitions)."""
@@ -742,9 +743,8 @@ def test_pack_sequences_ids_unique_across_many_partitions(tmp_path):
     ids = list(range(300))
     texts = [" ".join(f"w{j}" for j in range(20 + (i % 37))) for i in ids]
     _write_docs(tmp_path, ids, texts)
-    out = D.pack_sequences(
-        str(tmp_path), seq_len=128, num_partitions=64
-    ).to_pandas()
+    monkeypatch.setattr(D, "_num_partitions", lambda: 64)
+    out = D.pack_sequences(str(tmp_path), seq_len=128).to_pandas()
     assert out["pack_id"].is_unique
     total = sum(len(t.split()) for t in texts)
     assert int(out["n_tokens"].sum()) == total
@@ -851,7 +851,7 @@ def test_last_order_asof_matches_bruteforce():
     assert len(got) > 0
 
 
-def test_asof_join_tie_break_and_no_prior_match(tmp_path):
+def test_asof_join_tie_break_and_no_prior_match(tmp_path, monkeypatch):
     """Planted edge cases: two orders on the SAME date (max orderkey
     must win deterministically), an event before any order (dropped),
     and a user with orders but no events."""
@@ -891,8 +891,9 @@ def test_asof_join_tie_break_and_no_prior_match(tmp_path):
         ),
         tmp_path / "orders.parquet",
     )
+    monkeypatch.setattr(D, "_num_partitions", lambda: 16)
     got = (
-        D.last_order_asof(str(tmp_path), num_partitions=16)
+        D.last_order_asof(str(tmp_path))
         .to_pandas()
         .sort_values("event_id", ignore_index=True)
     )
@@ -1138,7 +1139,7 @@ def test_chars_percentiles_matches_rank_definition():
         assert val == v[rank - 1]
 
 
-def test_quota_sample_per_source_matches_bruteforce():
+def test_quota_sample_per_source_matches_bruteforce(monkeypatch):
     """Stratified md5-ordered sample == single-frame reference; the
     sample is a deterministic function of doc_id alone."""
     import hashlib
@@ -1167,8 +1168,9 @@ def test_quota_sample_per_source_matches_bruteforce():
     pd.testing.assert_frame_equal(got, want)
     assert (got.groupby("source")["rank"].max() <= 20).all()
     # partition-count invariance
+    monkeypatch.setattr(D, "_num_partitions", lambda: 3)
     again = (
-        D.quota_sample_per_source(SF, k=20, num_partitions=3)
+        D.quota_sample_per_source(SF, k=20)
         .to_pandas()
         .sort_values(["source", "rank"], ignore_index=True)
     )
@@ -1210,7 +1212,7 @@ def test_kmeans_clusters_matches_single_frame_lloyd():
     assert got["cluster"].nunique() > 1
 
 
-def test_source_label_stats_matches_bruteforce():
+def test_source_label_stats_matches_bruteforce(monkeypatch):
     """Large-large hash-join + (source,label) rollup == single-frame
     pandas merge; partition-count invariant."""
     from html_extract import dataops as D
@@ -1239,7 +1241,8 @@ def test_source_label_stats_matches_bruteforce():
     want = want.astype({"n_docs": "int64", "sum_chars": "int64"})
     pd.testing.assert_frame_equal(got, want)
     assert len(got) > 1
-    pd.testing.assert_frame_equal(run(num_partitions=3), got)
+    monkeypatch.setattr(D, "_num_partitions", lambda: 3)
+    pd.testing.assert_frame_equal(run(), got)
 
 
 def test_shipping_priority_matches_bruteforce():
@@ -1283,7 +1286,7 @@ def test_shipping_priority_matches_bruteforce():
     assert len(got) == 10
 
 
-def test_priority_semi_counts_matches_bruteforce():
+def test_priority_semi_counts_matches_bruteforce(monkeypatch):
     """Distributed semi-join (EXISTS) == pandas isin reference."""
     from html_extract import dataops as D
 
@@ -1308,8 +1311,9 @@ def test_priority_semi_counts_matches_bruteforce():
     )
     pd.testing.assert_frame_equal(got, want)
     assert got["n_orders"].sum() > 0
+    monkeypatch.setattr(D, "_num_partitions", lambda: 3)
     got3 = (
-        D.priority_semi_counts(SF, num_partitions=3)
+        D.priority_semi_counts(SF)
         .to_pandas()
         .sort_values("o_orderpriority", ignore_index=True)
     )
@@ -1346,7 +1350,7 @@ def test_churned_customers_matches_bruteforce():
     assert got["n_customers"].sum() > 0  # cutoff chosen to be non-vacuous
 
 
-def test_event_interarrival_matches_window_reference():
+def test_event_interarrival_matches_window_reference(monkeypatch):
     """Hash-co-located LAG == single-frame sorted-diff reference."""
     from html_extract import dataops as D
 
@@ -1376,8 +1380,9 @@ def test_event_interarrival_matches_window_reference():
         .sort_values("event_type", ignore_index=True)
     )
     pd.testing.assert_frame_equal(got, want)
+    monkeypatch.setattr(D, "_num_partitions", lambda: 5)
     pd.testing.assert_frame_equal(
-        D.event_interarrival(SF, num_partitions=5)
+        D.event_interarrival(SF)
         .to_pandas()
         .sort_values("event_type", ignore_index=True),
         want,
@@ -1484,7 +1489,7 @@ def test_source_lang_rollup_matches_bruteforce():
     assert ((got["source"] == "ALL") & (got["lang"] == "ALL")).sum() == 1
 
 
-def test_small_quantity_revenue_matches_bruteforce():
+def test_small_quantity_revenue_matches_bruteforce(monkeypatch):
     """Self-aggregation join (Q17 shape): integer threshold compare ==
     single-frame pandas reference."""
     from html_extract import dataops as D
@@ -1515,8 +1520,9 @@ def test_small_quantity_revenue_matches_bruteforce():
     )
     pd.testing.assert_frame_equal(got, want)
     assert got["n_items"].sum() > 0
+    monkeypatch.setattr(D, "_num_partitions", lambda: 3)
     pd.testing.assert_frame_equal(
-        D.small_quantity_revenue(SF, num_partitions=3)
+        D.small_quantity_revenue(SF)
         .to_pandas()
         .sort_values("p_brand", ignore_index=True),
         want,
@@ -1561,7 +1567,7 @@ def test_lang_source_pivot_matches_crosstab():
         (list(range(50)), list(range(25, 75))),  # partial overlap
     ],
 )
-def test_hash_join_adversarial(lkeys, rkeys):
+def test_hash_join_adversarial(lkeys, rkeys, monkeypatch):
     """_hash_join == pandas merge on every adversarial key layout
     (empty sides, orphans, full duplication, negatives) at a partition
     count that guarantees some partitions see one side only."""
@@ -1576,7 +1582,8 @@ def test_hash_join_adversarial(lkeys, rkeys):
     lds = rd.from_pandas(lf).repartition(3)
     rds = rd.from_pandas(rf).repartition(2)
 
-    got = D._hash_join(lds, rds, on=["k"], num_partitions=4).to_pandas()
+    monkeypatch.setattr(D, "_num_partitions", lambda: 4)
+    got = D._hash_join(lds, rds, on=["k"]).to_pandas()
     want = lf.merge(rf, on="k").sort_values(
         ["k", "lv", "rv"], ignore_index=True
     )
@@ -1593,6 +1600,46 @@ def test_hash_join_adversarial(lkeys, rkeys):
         )
 
 
+def test_hash_join_left_keeps_payload_types_across_partitions(monkeypatch):
+    """A left join where one key has no right row: every output block
+    carries the right side's own (nullable) payload type, so no
+    partition turns the int64 column into double and Ray logs no
+    "different schema" warning."""
+    import logging
+
+    import pyarrow as pa
+    import ray
+    import ray.data as rd
+
+    from html_extract import dataops as D
+
+    keys = np.arange(40, dtype=np.int64)
+    left = rd.from_arrow(pa.table({"k": keys})).repartition(4)
+    right = rd.from_arrow(pa.table({"k": keys[1:], "v": keys[1:] * 10})).repartition(4)
+    monkeypatch.setattr(D, "_num_partitions", lambda: 4)
+    warnings = []
+
+    class Warnings(logging.Handler):
+        def emit(self, record):
+            if "different schema than the previous one" in record.getMessage():
+                warnings.append(record.getMessage())
+
+    handler = Warnings(logging.WARNING)
+    logging.getLogger("ray.data").addHandler(handler)
+    try:
+        refs = D._hash_join(left, right, ["k"], "left").to_arrow_refs()
+    finally:
+        logging.getLogger("ray.data").removeHandler(handler)
+    blocks = [b for b in ray.get(refs) if b.num_rows]
+    assert len(blocks) > 1
+    assert {b.schema.field("v").type for b in blocks} == {pa.int64()}
+    assert warnings == []
+    got = pa.concat_tables(blocks).to_pandas().sort_values("k", ignore_index=True)
+    assert got["k"].tolist() == list(range(40))
+    assert got["v"].isna().tolist() == [True] + [False] * 39
+    assert (got["v"][1:] == got["k"][1:] * 10).all()
+
+
 @pytest.mark.parametrize("anti", [False, True])
 @pytest.mark.parametrize(
     "lkeys,rkeys",
@@ -1604,7 +1651,7 @@ def test_hash_join_adversarial(lkeys, rkeys):
         (list(range(40)), list(range(0, 40, 3))),  # strided overlap
     ],
 )
-def test_semi_anti_join_adversarial(anti, lkeys, rkeys):
+def test_semi_anti_join_adversarial(anti, lkeys, rkeys, monkeypatch):
     import ray.data as rd
 
     from html_extract import dataops as D
@@ -1612,12 +1659,12 @@ def test_semi_anti_join_adversarial(anti, lkeys, rkeys):
     lf = pd.DataFrame({"k": pd.Series(lkeys, dtype="int64"),
                        "lv": np.arange(len(lkeys), dtype="int64")})
     rf = pd.DataFrame({"k": pd.Series(rkeys, dtype="int64")})
+    monkeypatch.setattr(D, "_num_partitions", lambda: 4)
     got = D._semi_anti_join(
         rd.from_pandas(lf).repartition(3),
         rd.from_pandas(rf).repartition(2),
         on="k",
         anti=anti,
-        num_partitions=4,
     ).to_pandas()
     mask = lf["k"].isin(set(rkeys))
     want = lf[~mask if anti else mask].sort_values(
@@ -1680,7 +1727,7 @@ def test_misra_gries_survival_guarantee():
     assert len(g) <= m
 
 
-def test_unigram_surprisal_matches_bruteforce():
+def test_unigram_surprisal_matches_bruteforce(monkeypatch):
     from html_extract import dataops as D
 
     got = (
@@ -1710,8 +1757,9 @@ def test_unigram_surprisal_matches_bruteforce():
     pd.testing.assert_frame_equal(got, want)
     # rarer corpora carry more bits/token than common ones on average
     assert (got["microbits"] > 0).all()
+    monkeypatch.setattr(D, "_num_partitions", lambda: 3)
     pd.testing.assert_frame_equal(
-        D.unigram_surprisal(SF, num_partitions=3)
+        D.unigram_surprisal(SF)
         .to_pandas()
         .sort_values("doc_id", ignore_index=True),
         want,
@@ -1741,7 +1789,7 @@ def test_rolling_daily_revenue_matches_bruteforce():
     assert (got["rolling_cents"] > got["revenue_cents"]).any()
 
 
-def test_source_median_chars_matches_bruteforce():
+def test_source_median_chars_matches_bruteforce(monkeypatch):
     from html_extract import dataops as D
 
     got = (
@@ -1763,8 +1811,9 @@ def test_source_median_chars_matches_bruteforce():
         .sort_values("source", ignore_index=True)
     )
     pd.testing.assert_frame_equal(got, want)
+    monkeypatch.setattr(D, "_num_partitions", lambda: 3)
     pd.testing.assert_frame_equal(
-        D.source_median_chars(SF, num_partitions=3)
+        D.source_median_chars(SF)
         .to_pandas()
         .sort_values("source", ignore_index=True),
         want,
@@ -1849,7 +1898,7 @@ if _HYP:
             assert true - w <= cut
 
 
-def test_funnel_counts_matches_bruteforce():
+def test_funnel_counts_matches_bruteforce(monkeypatch):
     """Windowed first-touch funnel == single-frame chained-min
     reference, with genuine attrition across stages."""
     from html_extract import dataops as D
@@ -1877,10 +1926,11 @@ def test_funnel_counts_matches_bruteforce():
     ).astype("int64")
     pd.testing.assert_frame_equal(got, want)
     assert got["n_view"].iloc[0] > got["n_click"].iloc[0] > 0  # attrition
-    pd.testing.assert_frame_equal(D.funnel_counts(SF, num_partitions=3), want)
+    monkeypatch.setattr(D, "_num_partitions", lambda: 3)
+    pd.testing.assert_frame_equal(D.funnel_counts(SF), want)
 
 
-def test_distinct_users_exact_matches_nunique():
+def test_distinct_users_exact_matches_nunique(monkeypatch):
     from html_extract import dataops as D
 
     got = (
@@ -1899,8 +1949,9 @@ def test_distinct_users_exact_matches_nunique():
         .sort_values("event_type", ignore_index=True)
     )
     pd.testing.assert_frame_equal(got, want)
+    monkeypatch.setattr(D, "_num_partitions", lambda: 5)
     pd.testing.assert_frame_equal(
-        D.distinct_users_exact(SF, num_partitions=5)
+        D.distinct_users_exact(SF)
         .to_pandas()
         .sort_values("event_type", ignore_index=True),
         want,
@@ -1943,7 +1994,7 @@ def test_bloom_prefiltered_semi_join_identical():
     assert D._bloom_test(bits, others).mean() < 0.5
 
 
-def test_first_events_per_user_matches_row_number():
+def test_first_events_per_user_matches_row_number(monkeypatch):
     from html_extract import dataops as D
 
     got = (
@@ -1961,15 +2012,16 @@ def test_first_events_per_user_matches_row_number():
     ].sort_values(["user_id", "seqno"], ignore_index=True)
     pd.testing.assert_frame_equal(got, want)
     assert got.groupby("user_id")["seqno"].max().eq(3).all()
+    monkeypatch.setattr(D, "_num_partitions", lambda: 5)
     pd.testing.assert_frame_equal(
-        D.first_events_per_user(SF, num_partitions=5)
+        D.first_events_per_user(SF)
         .to_pandas()
         .sort_values(["user_id", "seqno"], ignore_index=True),
         want,
     )
 
 
-def test_cohort_retention_matches_bruteforce():
+def test_cohort_retention_matches_bruteforce(monkeypatch):
     from html_extract import dataops as D
 
     got = (
@@ -2000,8 +2052,9 @@ def test_cohort_retention_matches_bruteforce():
     )
     pd.testing.assert_frame_equal(got, want)
     assert (got["day_offset"] == 0).any() and (got["day_offset"] > 0).any()
+    monkeypatch.setattr(D, "_num_partitions", lambda: 5)
     pd.testing.assert_frame_equal(
-        D.cohort_retention(SF, num_partitions=5)
+        D.cohort_retention(SF)
         .to_pandas()
         .sort_values(["cohort_day", "day_offset"], ignore_index=True),
         want,
@@ -2187,9 +2240,9 @@ def test_dedup_queries_no_schema_warnings_and_one_execution(tmp_path, monkeypatc
     """The benchmark's dedup queries over a small seeded table set: no
     "different schema" warning from any exchange, and each job query is
     exactly one Dataset execution (no schema probe, no limit plan).
-    minhash_pairs adds its two planned executions: the candidate pairs
-    are materialized, and the Bloom filter is built before the
-    verification joins."""
+    minhash_pairs adds its three planned executions: the candidate pairs
+    are materialized and then re-blocked, and the Bloom filter is built
+    before the verification joins."""
     import logging
 
     from ray.data._internal.execution.streaming_executor import StreamingExecutor
@@ -2226,4 +2279,4 @@ def test_dedup_queries_no_schema_warnings_and_one_execution(tmp_path, monkeypatc
     assert warnings == []
     assert per_query == {"exact_dedup": 1, "source_label_stats": 1,
                          "priority_semi_counts": 1, "tfidf_top_terms": 1,
-                         "minhash_pairs": 3}
+                         "minhash_pairs": 4}

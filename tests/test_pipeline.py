@@ -95,11 +95,13 @@ def test_spans_flat_projection():
         assert g["ord"].tolist() == list(range(len(g)))
 
 
-def test_conformance_diff_empty():
+def test_conformance_diff_empty(monkeypatch):
     """At-scale span-equality audit: engine join oracle -> no mismatches."""
+    from html_extract import dataops as D
     from html_extract import pipeline as P
 
-    diff = P.conformance_diff(SF_DIR, num_partitions=4)
+    monkeypatch.setattr(D, "_num_partitions", lambda: 4)
+    diff = P.conformance_diff(SF_DIR)
     assert diff.count() == 0
 
 
@@ -226,24 +228,36 @@ def test_extract_stage_is_task_pool(concurrency, size):
     _assert_golden_fingerprints(P.span_fingerprints(ds).to_pandas())
 
 
-ONE_CPU_RUN = """
+ONE_CPU_SESSION = """
 import json, sys
 import ray
 from ray.data import DataContext
 ray.init(address="local", num_cpus=1, include_dashboard=False,
          logging_level="ERROR", object_store_memory=256 << 20, _temp_dir=sys.argv[1])
 DataContext.get_current().enable_progress_bars = False
+"""
+
+ONE_CPU_EXTRACT = ONE_CPU_SESSION + """
 from html_extract import pipeline as P
 fp = P.span_fingerprints(P.extracted_dataset(sys.argv[2])).to_pandas()
 print(json.dumps(dict(zip(fp["doc_id"], fp["fp"]))))
 ray.shutdown()
 """
 
+ONE_CPU_QUERIES = ONE_CPU_SESSION + """
+import __ray_entry__ as E
+from tests.dataops_util import rows_and_hash
+qs = E.queries()
+print(json.dumps({q: rows_and_hash(qs[q](sys.argv[2])) for q in sys.argv[3:]}))
+ray.shutdown()
+"""
 
-def test_one_cpu_session_completes():
-    """A 1-CPU session must finish extraction with the golden output.
-    An extract actor pool held the only CPU, the read stage could not
-    be scheduled, and the job hung (>300 s at sf0.001)."""
+
+def _run_one_cpu_session(script, *args):
+    """Run ``script`` in a fresh process that starts a 1-CPU Ray session
+    (``sys.argv[1]`` is its Ray temp dir, ``args`` follow) and return
+    the JSON its last stdout line holds.  Fails the test after 120 s,
+    killing the driver and every Ray process it started."""
     import json
     import shutil
     import signal
@@ -251,14 +265,12 @@ def test_one_cpu_session_completes():
     import sys
     import tempfile
 
-    import pandas as pd
-
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     # under /tmp: Ray's socket paths are its temp dir plus ~64 bytes and
     # must stay under 108
     ray_tmp = tempfile.mkdtemp(prefix="ray1cpu", dir="/tmp")
     proc = subprocess.Popen(
-        [sys.executable, "-c", ONE_CPU_RUN, ray_tmp, SF_DIR],
+        [sys.executable, "-c", script, ray_tmp, *args],
         cwd=root,
         env=dict(os.environ, PYTHONPATH=root),
         stdout=subprocess.PIPE,
@@ -272,12 +284,56 @@ def test_one_cpu_session_completes():
         # the driver and the Ray processes it started share its session
         os.killpg(proc.pid, signal.SIGKILL)
         proc.communicate()
-        pytest.fail("extraction in a 1-CPU Ray session did not finish in 120 s")
+        pytest.fail("a 1-CPU Ray session did not finish in 120 s")
     finally:
         shutil.rmtree(ray_tmp, ignore_errors=True)
     assert proc.returncode == 0, err[-2000:]
-    fps = json.loads(out.strip().splitlines()[-1])
+    return json.loads(out.strip().splitlines()[-1])
+
+
+def test_one_cpu_session_completes():
+    """A 1-CPU session must finish extraction with the golden output.
+    An extract actor pool held the only CPU, the read stage could not
+    be scheduled, and the job hung (>300 s at sf0.001)."""
+    import pandas as pd
+
+    fps = _run_one_cpu_session(ONE_CPU_EXTRACT, SF_DIR)
     _assert_golden_fingerprints(pd.DataFrame({"doc_id": list(fps), "fp": list(fps.values())}))
+
+
+# every dataops query whose map stages ran as per-Dataset actor pools,
+# and the two whose Jaccard verify waited on an all-to-all
+ONE_CPU_QUERY_NAMES = [
+    "langid",
+    "minhash_candidates",
+    "embedding_near_dups",
+    "ann_topk_lsh",
+    "ann_topk",
+    "orders_by_nation",
+    "top_parts_by_quantity",
+    "contamination_check",
+    "ann_topk_ivf",
+    "small_quantity_revenue",
+    "heavy_hitters",
+    "minhash_pairs",
+    "minhash_dedup",
+]
+
+
+def test_one_cpu_session_runs_dataops_queries():
+    """The dataops map stages run on the task pool, so each query
+    finishes in a 1-CPU session with the same (rows, value hash) as in
+    the 4-CPU test session.  As actor pools they hung there: the pool
+    held the only CPU and the read stage could not be scheduled.  The
+    MinHash verify hung too: a repartition waited in Ray Data's
+    scheduling thread for the CPU a paused document read held."""
+    import __ray_entry__ as E
+    from tests.dataops_util import rows_and_hash
+
+    got = _run_one_cpu_session(ONE_CPU_QUERIES, SF_DIR, *ONE_CPU_QUERY_NAMES)
+    qs = E.queries()
+    want = {q: rows_and_hash(qs[q](SF_DIR)) for q in ONE_CPU_QUERY_NAMES}
+    assert got == want
 
 
 def test_resume_recomputes_on_corrupt_manifest(tmp_path):

@@ -5,9 +5,10 @@ DuckDB (row count + column names + order-insensitive value hash).
 Usage: python tools/check_correctness.py [sf_dir]
 """
 
+import os
 import sys
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 import duckdb
 import pandas as pd
