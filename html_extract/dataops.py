@@ -24,9 +24,11 @@ Design rules applied throughout (see ray_guide / SURVEY.md §4):
   when its rows all hash elsewhere; ``None`` only when the side had no
   non-empty block), so joins need no null padding and no schema probe.
   Partition 0 always runs, so ``fn`` also decides the schema of an
-  all-empty result.  Joins, semi/anti and as-of joins and keyed
-  combines are per-partition functions over it; ``_tree_agg`` is the
-  keyless form (one combine task),
+  all-empty result.  Joins, semi/anti and as-of joins are per-partition
+  functions over it, and so is every aggregate: ``_aggregate(ds, keys,
+  combine, partial)`` runs ``partial`` per batch and ``combine`` per
+  key partition (default: sum by ``keys``); no keys means one partition,
+  run by a single task with no all-to-all,
 - deterministic hashes only (blake2/md5/crc32 — never PYTHONHASHSEED-
   dependent builtins), so results are stable across machines.
 """
@@ -51,23 +53,28 @@ def _cpus() -> int:
     return int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
 
 
-def _read(sf_dir, name, columns) -> rd.Dataset:
-    """Column-pruned read with a block count scaled to the input size.
+def _num_blocks(size: int) -> int | None:
+    """Read block count for ``size`` input bytes (None: Ray's default).
 
     Ray's default read parallelism (~200 blocks) is tuned for large
     inputs; on dimension-scale tables it turns every downstream shuffle
     into thousands of empty-block tasks (measured 5x slowdown on a
-    5k-row groupby).  Small file -> one block per ~16 MiB, floored at
-    the CPU count; big inputs keep Ray's default.
-    """
-    path = _path(sf_dir, name)
-    size = os.path.getsize(path)
-    schema = _clean_schema(path, columns)
+    5k-row groupby).  Up to 1 GiB -> one block per ~16 MiB, floored at
+    the CPU count (at most 64) and at 4; bigger inputs keep Ray's
+    default."""
     if size > (1 << 30):
-        return rd.read_parquet(path, columns=columns, schema=schema)
-    nblocks = max(4, min(_cpus(), 64), size // (16 << 20))
+        return None
+    return max(4, min(_cpus(), 64), size // (16 << 20))
+
+
+def _read(sf_dir, name, columns) -> rd.Dataset:
+    """Column-pruned read with a block count scaled to the input size."""
+    path = _path(sf_dir, name)
     return rd.read_parquet(
-        path, columns=columns, schema=schema, override_num_blocks=int(nblocks)
+        path,
+        columns=columns,
+        schema=_clean_schema(path, columns),
+        override_num_blocks=_num_blocks(os.path.getsize(path)),
     )
 
 
@@ -87,13 +94,12 @@ def _clean_schema(path, columns=None):
 # ---------------------------------------------------------------------------
 # keyed exchange (contract in the module docstring)
 #
-# `_tree_agg`, the keyless form, suits results whose distinct keys fit
-# one worker (sources, langs, hours, nations).  Ray Data's sort-based
-# groupby().aggregate() pays ~per-group Python overhead in the reduce
-# (measured: 153k groups -> 78 s for a trivial count), so keyed
-# aggregates shrink per batch first (`_keyed_agg`) and combine per
+# Ray Data's sort-based groupby().aggregate() pays ~per-group Python
+# overhead in the reduce (measured: 153k groups -> 78 s for a trivial
+# count), so `_aggregate` shrinks per batch first and combines per
 # PARTITION: P Python calls, each a vectorized pandas groupby, and no
-# task ever sees the whole key space.
+# task ever sees the whole key space.  Its keyless form (one partition)
+# is for combines that need every row: top-k merges, sketches, rollups.
 
 # The shuffle schema: one row per (input block, partition, side), the
 # rows of that block for that partition as an Arrow IPC stream.  It does
@@ -139,8 +145,9 @@ def _exchange(sides, fn, num_partitions=None) -> rd.Dataset:
     schema change.  A filter in ``prep`` may empty a block and still
     tags typed zero-row slices.
 
-    ``num_partitions`` overrides ``_num_partitions()`` for a caller
-    that has measured its input (``_jaccard_verify``).
+    ``num_partitions`` overrides ``_num_partitions()`` for a keyless
+    aggregate (1: no key is hashed) and for a caller that has measured
+    its input (``_jaccard_verify``).
 
     Plan: tag map -> sort on ``_part`` -> one map over the sorted
     blocks, the same shape as ``groupby().map_groups``; no schema probe
@@ -154,9 +161,12 @@ def _exchange(sides, fn, num_partitions=None) -> rd.Dataset:
             # pandas-born blocks carry b'pandas' schema metadata whose
             # decoded form is an unhashable dict (see _clean_schema)
             t = t.replace_schema_metadata(None)
-            part = _hash_mod(
-                pd.DataFrame({c: t[c].to_pandas() for c in key_cols}), key_cols, P
-            )
+            if P == 1:  # also the keyless case: no key column to hash
+                part = np.zeros(t.num_rows, np.int32)
+            else:
+                part = _hash_mod(
+                    pd.DataFrame({c: t[c].to_pandas() for c in key_cols}), key_cols, P
+                )
             t = t.take(np.argsort(part, kind="stable"))
             ends = np.cumsum(np.bincount(part, minlength=P))
             sink, offsets, lo = pa.BufferOutputStream(), [0], 0
@@ -231,34 +241,30 @@ def _exchange(sides, fn, num_partitions=None) -> rd.Dataset:
     return ranges.map_batches(run, batch_format="pyarrow", batch_size=None)
 
 
-def _tree_agg(ds: rd.Dataset, partial_fn, combine_fn=None) -> rd.Dataset:
-    """Keyless combine: ``partial_fn`` per batch (skipped when None),
-    then ``combine_fn`` (default ``partial_fn``) once over all partials
-    in a single task."""
-    if partial_fn is not None:
-        ds = ds.map_batches(partial_fn, batch_format="pandas")
-    return ds.repartition(1).map_batches(
-        combine_fn or partial_fn, batch_format="pandas", batch_size=None
-    )
-
-
-def _partition_apply(ds: rd.Dataset, key_cols, group_fn) -> rd.Dataset:
-    """Run ``group_fn`` once per key-hash partition of ``ds`` on a
-    pandas frame of its rows (rows with equal keys are co-located).  A
-    partition may hold no rows; ``group_fn`` then returns a typed empty
-    frame."""
+def _aggregate(ds: rd.Dataset, keys, combine=None, partial=None) -> rd.Dataset:
+    """``partial`` (when given) runs once per batch, on pandas; the rows
+    are hash-partitioned on ``keys`` and ``combine`` runs once per
+    partition on a pandas frame of its rows (rows with equal keys are
+    co-located; a partition may hold none, and ``combine`` then returns
+    a typed empty frame).  Empty ``keys`` means one partition, so
+    ``combine`` sees every row.  ``combine=None`` sums every non-key
+    column by ``keys`` (int64 stays int64).  No input rows give no
+    output rows."""
+    keys = list(keys)
+    if partial is not None:
+        ds = ds.map_batches(partial, batch_format="pandas")
 
     def run(part, t):
-        return None if t is None else group_fn(t.to_pandas())
+        if t is None:
+            return None
+        df = t.to_pandas()
+        if combine is not None:
+            return combine(df)
+        if keys:
+            return df.groupby(keys, as_index=False).sum()
+        return pd.DataFrame({c: [df[c].sum()] for c in df.columns})
 
-    return _exchange([(ds, key_cols)], run)
-
-
-def _keyed_agg(ds: rd.Dataset, partial_fn, combine_fn, key_cols) -> rd.Dataset:
-    """Partial-aggregate per batch, then combine per key-hash partition
-    (never funnels the whole key set through one task)."""
-    partials = ds.map_batches(partial_fn, batch_format="pandas")
-    return _partition_apply(partials, key_cols, combine_fn)
+    return _exchange([(ds, keys)], run, None if keys else 1)
 
 
 def _rename(ds: rd.Dataset, mapping: dict) -> rd.Dataset:
@@ -314,17 +320,11 @@ def doc_stats_by_source(sf_dir) -> rd.Dataset:
     ds = _read(sf_dir, "documents", ["source", "n_chars"])
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("source", as_index=False).agg(
+        return df.groupby("source", as_index=False).agg(
             n_docs=("n_chars", "size"), sum_chars=("n_chars", "sum")
         )
-        return g
 
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("source", as_index=False).agg(
-            n_docs=("n_docs", "sum"), sum_chars=("sum_chars", "sum")
-        )
-
-    return _tree_agg(ds, partial, combine)
+    return _aggregate(ds, ["source"], partial=partial)
 
 
 def lang_distribution(sf_dir) -> rd.Dataset:
@@ -333,10 +333,7 @@ def lang_distribution(sf_dir) -> rd.Dataset:
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         return df.groupby("lang", as_index=False).agg(n_docs=("lang", "size"))
 
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("lang", as_index=False).agg(n_docs=("n_docs", "sum"))
-
-    return _tree_agg(ds, partial, combine)
+    return _aggregate(ds, ["lang"], partial=partial)
 
 
 def doc_size_histogram(sf_dir) -> pd.DataFrame:
@@ -489,12 +486,9 @@ def top_users_by_events(sf_dir, k: int = 10) -> pd.DataFrame:
     ds = _read(sf_dir, "events", ["user_id"])
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        col = "n" if "n" in df.columns else "user_id"
-        if "n" in df.columns:
-            return df.groupby("user_id", as_index=False).agg(n=("n", "sum"))
         return df.groupby("user_id", as_index=False).agg(n=("user_id", "size"))
 
-    agg = _tree_agg(ds, partial).to_pandas()
+    agg = _aggregate(ds, ["user_id"], partial=partial).to_pandas()
     agg = agg.sort_values(["n", "user_id"], ascending=[False, True], ignore_index=True)
     return agg.head(k).astype({"n": "int64"})
 
@@ -535,18 +529,16 @@ def lineitem_pricing_summary(sf_dir) -> rd.Dataset:
         ["l_returnflag", "l_linestatus", "l_quantity"],
     )
 
+    keys = ["l_returnflag", "l_linestatus"]
+
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        if "n_items" in df.columns:
-            return df.groupby(
-                ["l_returnflag", "l_linestatus"], as_index=False
-            ).agg(n_items=("n_items", "sum"), sum_qty=("sum_qty", "sum"))
-        g = df.groupby(["l_returnflag", "l_linestatus"], as_index=False).agg(
+        g = df.groupby(keys, as_index=False).agg(
             n_items=("l_quantity", "size"), sum_qty=("l_quantity", "sum")
         )
         g["sum_qty"] = g["sum_qty"].astype("int64")
         return g
 
-    return _tree_agg(ds, partial)
+    return _aggregate(ds, keys, partial=partial)
 
 
 def word_frequencies(sf_dir, k: int = 50) -> pd.DataFrame:
@@ -578,7 +570,7 @@ def _top_counts(ds, partial, key: str, k: int) -> pd.DataFrame:
         g = df.groupby(key, as_index=False).agg(n=("n", "sum"))
         return g.sort_values(**order).head(k)
 
-    agg = _keyed_agg(ds, partial, combine_topk, [key]).to_pandas()
+    agg = _aggregate(ds, [key], combine_topk, partial).to_pandas()
     if key not in agg.columns:  # empty corpus
         return pd.DataFrame({key: pd.Series(dtype=object), "n": pd.Series(dtype="int64")})
     return agg.sort_values(**order, ignore_index=True).head(k).astype({"n": "int64"})
@@ -837,17 +829,12 @@ def minhash_candidates(sf_dir, cap=64) -> rd.Dataset:
         )
         return out
 
-    pair_partials = _partition_apply(bands, ["band", "band_hash"], bucket_pairs)
+    pair_partials = _aggregate(bands, ["band", "band_hash"], bucket_pairs)
 
-    # Final per-pair band-count combine, distributed: a pair's partial
+    # Final per-pair band-count sum, distributed: a pair's partial
     # counts co-locate in one (a, b)-hash partition, so no single task
     # (and never the driver) holds the full pair set.
-    def comb(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby(["a", "b"], as_index=False).agg(
-            n_bands=("n_bands", "sum")
-        )
-
-    return _partition_apply(pair_partials, ["a", "b"], comb)
+    return _aggregate(pair_partials, ["a", "b"])
 
 
 def _shingle_prep(bits_ref, id_col: str, sh_col: str):
@@ -918,9 +905,8 @@ def _jaccard_verify(cand: rd.Dataset, sf_dir, jaccard_threshold_pct: int) -> rd.
         )
         return pa.table({"doc_id": both.unique()})
 
-    bits_ref = ray.put(
-        _bloom_build(pairs.map_batches(pair_ids, batch_format="pyarrow"), "doc_id", 1 << 20)
-    )
+    ids = pairs.map_batches(pair_ids, batch_format="pyarrow")
+    bits_ref = ray.put(_bloom_build(ids, "doc_id", _bloom_bits(2 * n_cand)))
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
 
     def attach_a(part, pt, st):
@@ -1032,22 +1018,18 @@ def _cc_distributed(edges: rd.Dataset, max_iter=25) -> rd.Dataset:
         out["label"] = out["node"]
         return out
 
-    labels = _partition_apply(dedges, ["src"], distinct_nodes).materialize()
+    labels = _aggregate(dedges, ["src"], distinct_nodes).materialize()
+
+    def min_in_partial(df: pd.DataFrame) -> pd.DataFrame:
+        return df.groupby("dst", as_index=False).agg(cand=("label", "min"))
+
+    def min_in_combine(df: pd.DataFrame) -> pd.DataFrame:
+        return df.groupby("dst", as_index=False).agg(cand=("cand", "min"))
 
     for _ in range(max_iter):
         j = _hash_join(dedges, _rename(labels, {"node": "src"}), ("src",))
-
-        def min_in_partial(df: pd.DataFrame) -> pd.DataFrame:
-            return df.groupby("dst", as_index=False).agg(cand=("label", "min"))
-
-        def min_in_combine(df: pd.DataFrame) -> pd.DataFrame:
-            return df.groupby("dst", as_index=False).agg(cand=("cand", "min"))
-
-        cand = _keyed_agg(
-            j.select_columns(["dst", "label"]),
-            min_in_partial,
-            min_in_combine,
-            ["dst"],
+        cand = _aggregate(
+            j.select_columns(["dst", "label"]), ["dst"], min_in_combine, min_in_partial
         )
         merged = _hash_join(labels, _rename(cand, {"dst": "node"}), ("node",), "left")
 
@@ -1327,15 +1309,12 @@ def embedding_near_dups(sf_dir, threshold_pct=95, n_planes=6, n_tables=8) -> rd.
             }
         )
 
-    partials = _partition_apply(coded, ["bucket"], bucket_pairs)
-
-    def distinct(df: pd.DataFrame) -> pd.DataFrame:
-        return df.drop_duplicates(["a", "b"])
+    partials = _aggregate(coded, ["bucket"], bucket_pairs)
 
     # distinct pairs stay a Dataset all the way (a pair appears once per
     # shared bucket; the (a,b)-hash partition dedupes without a driver
     # merge).  Collected + sorted only in the small-scale convenience.
-    return _partition_apply(partials, ["a", "b"], distinct)
+    return _aggregate(partials, ["a", "b"], lambda df: df.drop_duplicates(["a", "b"]))
 
 
 def _rank_per_query(partial: rd.Dataset, k: int) -> pd.DataFrame:
@@ -1355,7 +1334,7 @@ def _rank_per_query(partial: rd.Dataset, k: int) -> pd.DataFrame:
         top["rank"] = top.groupby("query_id").cumcount() + 1
         return top[["query_id", "neighbor_id", "rank"]]
 
-    res = _partition_apply(partial, ["query_id"], merge_query).to_pandas()
+    res = _aggregate(partial, ["query_id"], merge_query).to_pandas()
     if len(res) == 0:
         return pd.DataFrame(
             {c: pd.Series(dtype="int64") for c in ("query_id", "neighbor_id", "rank")}
@@ -1405,7 +1384,7 @@ def ann_topk_lsh(sf_dir, n_queries=5, k=10, n_planes=6, n_tables=4) -> pd.DataFr
             return pd.DataFrame(_empty)
         return pd.concat(frames, ignore_index=True)
 
-    partial = _partition_apply(coded, ["bucket"], bucket_topk)
+    partial = _aggregate(coded, ["bucket"], bucket_topk)
 
     return _rank_per_query(partial, k)
 
@@ -1473,10 +1452,6 @@ def events_hourly(sf_dir) -> rd.Dataset:
     ds = _read(sf_dir, "events", ["event_type", "ts"])
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        if "n_events" in df.columns:
-            return df.groupby(["event_type", "hour"], as_index=False).agg(
-                n_events=("n_events", "sum")
-            )
         hour = df["ts"].dt.floor("h").astype("datetime64[us]").astype(str)
         return (
             pd.DataFrame({"event_type": df["event_type"], "hour": hour})
@@ -1485,7 +1460,7 @@ def events_hourly(sf_dir) -> rd.Dataset:
             .reset_index(name="n_events")
         )
 
-    return _tree_agg(ds, partial)
+    return _aggregate(ds, ["event_type", "hour"], partial=partial)
 
 
 def user_sessions(sf_dir, gap_minutes=30) -> rd.Dataset:
@@ -1510,7 +1485,7 @@ def user_sessions(sf_dir, gap_minutes=30) -> rd.Dataset:
         )
         return agg.reset_index(drop=True)
 
-    return _partition_apply(ds, ["user_id"], sessions)
+    return _aggregate(ds, ["user_id"], sessions)
 
 
 # ---------------------------------------------------------------------------
@@ -1547,17 +1522,12 @@ def orders_by_nation(sf_dir) -> rd.Dataset:
         return pa.table(
             {
                 "n_name": [names[int(u)] for u in uniq],
-                "n": counts.astype("int64"),
+                "n_orders": counts.astype("int64"),
             }
         )
 
     ds = _read(sf_dir, "orders", ["o_custkey"])
-    partials = ds.map_batches(join_count, batch_format="pyarrow")
-
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("n_name", as_index=False).agg(n_orders=("n", "sum"))
-
-    return _tree_agg(partials, None, combine)
+    return _aggregate(ds.map_batches(join_count, batch_format="pyarrow"), ["n_name"])
 
 
 def filtered_corpus(
@@ -1626,18 +1596,13 @@ def top_parts_by_quantity(sf_dir, k: int = 10) -> pd.DataFrame:
         return pa.table(
             {
                 "p_name": pa.array(g["p_name"], pa.string()),
-                "q": pa.array(g["q"].astype("int64"), pa.int64()),
+                "total_qty": pa.array(g["q"].astype("int64"), pa.int64()),
             }
         )
 
     ds = _read(sf_dir, "lineitem", ["l_partkey", "l_quantity"])
     partials = ds.map_batches(join_sum, batch_format="pyarrow")
-
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        col = "total_qty" if "total_qty" in df.columns else "q"
-        return df.groupby("p_name", as_index=False).agg(total_qty=(col, "sum"))
-
-    agg = _tree_agg(partials, combine).to_pandas()
+    agg = _aggregate(partials, ["p_name"]).to_pandas()
     agg = agg.sort_values(
         ["total_qty", "p_name"], ascending=[False, True], ignore_index=True
     )
@@ -1652,7 +1617,7 @@ def dup_group_histogram(sf_dir) -> rd.Dataset:
 
     Scale shape: per-batch digest shrink -> per hash-partition group
     counts (a group's copies co-locate) -> per-partition histogram ->
-    one tiny final combine over P histograms."""
+    histograms summed by n_copies."""
     ds = _read(sf_dir, "documents", ["text"])
 
     def partial(t: pa.Table) -> pa.Table:
@@ -1675,16 +1640,10 @@ def dup_group_histogram(sf_dir) -> rd.Dataset:
         hist.columns = ["n_copies", "n_groups"]
         return hist.astype({"n_copies": "int64", "n_groups": "int64"})
 
-    per_part = _partition_apply(
+    per_part = _aggregate(
         ds.map_batches(partial, batch_format="pyarrow"), ["h"], combine
     )
-
-    def final(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("n_copies", as_index=False).agg(
-            n_groups=("n_groups", "sum")
-        )
-
-    return _tree_agg(per_part, final)
+    return _aggregate(per_part, ["n_copies"])
 
 
 def contamination_check(sf_dir, n_probes: int = 16, ngram: int = 8) -> rd.Dataset:
@@ -2000,7 +1959,7 @@ def ann_topk_ivf(sf_dir, n_queries=5, k=10, n_lists=16, n_probe=4) -> pd.DataFra
             return pd.DataFrame(_empty)
         return pd.concat(frames, ignore_index=True)
 
-    partial = _partition_apply(assigned, ["list_id"], list_topk)
+    partial = _aggregate(assigned, ["list_id"], list_topk)
 
     return _rank_per_query(partial, k)
 
@@ -2192,7 +2151,7 @@ def top_docs_per_lang(sf_dir, k: int = 5) -> rd.Dataset:
         )
         return top[["lang", "doc_id", "n_chars", "rank"]]
 
-    return _keyed_agg(ds, partial, combine, ["lang"])
+    return _aggregate(ds, ["lang"], combine, partial)
 
 
 def top_bigrams(sf_dir, k: int = 50) -> pd.DataFrame:
@@ -2273,7 +2232,7 @@ def segment_dedup(sf_dir, seg_words: int = 10) -> rd.Dataset:
         ]
 
     segs = ds.map_batches(to_segments, batch_format="pandas")
-    return _partition_apply(segs, ["segment"], winners)
+    return _aggregate(segs, ["segment"], winners)
 
 
 def props_key_stats(sf_dir) -> rd.Dataset:
@@ -2282,8 +2241,8 @@ def props_key_stats(sf_dir) -> rd.Dataset:
     (regex field pull, no JSON parser in the hot path).
 
     Scale shape: vectorized extract + per-batch partial aggregation;
-    the combine is a tree over event_type (tiny cardinality), so no
-    shuffle at all."""
+    only the partials (one row per event_type and batch) are combined
+    per event_type partition."""
     ds = _read(sf_dir, "events", ["event_type", "props"])
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -2309,7 +2268,7 @@ def props_key_stats(sf_dir) -> rd.Dataset:
             g[c] = g[c].astype("int64")
         return g
 
-    return _tree_agg(ds, partial, combine)
+    return _aggregate(ds, ["event_type"], combine, partial)
 
 
 def tfidf_top_terms(sf_dir) -> rd.Dataset:
@@ -2350,7 +2309,7 @@ def tfidf_top_terms(sf_dir) -> rd.Dataset:
         g["df"] = g.groupby("term")["doc_id"].transform("nunique").astype("int64")
         return g
 
-    scored = _partition_apply(tf, ["term"], attach_df)
+    scored = _aggregate(tf, ["term"], attach_df)
 
     def argmax_per_doc(g: pd.DataFrame) -> pd.DataFrame:
         score = np.round(
@@ -2365,7 +2324,7 @@ def tfidf_top_terms(sf_dir) -> rd.Dataset:
         top = g.groupby("doc_id", sort=False, as_index=False).head(1)
         return top[["doc_id", "term", "tf", "df"]]
 
-    return _partition_apply(scored, ["doc_id"], argmax_per_doc)
+    return _aggregate(scored, ["doc_id"], argmax_per_doc)
 
 
 def chars_percentiles(sf_dir, pcts=(25, 50, 75, 90, 99)) -> pd.DataFrame:
@@ -2383,11 +2342,7 @@ def chars_percentiles(sf_dir, pcts=(25, 50, 75, 90, 99)) -> pd.DataFrame:
         g.columns = ["v", "n"]
         return g
 
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("v", as_index=False).agg(n=("n", "sum"))
-        return g
-
-    hist = _keyed_agg(ds, partial, combine, ["v"]).to_pandas()
+    hist = _aggregate(ds, ["v"], partial=partial).to_pandas()
     if hist.empty:
         return pd.DataFrame({"p": pd.Series(dtype="int64"),
                              "value": pd.Series(dtype="int64")})
@@ -2442,7 +2397,7 @@ def quota_sample_per_source(sf_dir, k: int = 20) -> rd.Dataset:
         ).astype("int64")
         return top[["source", "doc_id", "rank"]]
 
-    return _keyed_agg(ds, partial, combine, ["source"])
+    return _aggregate(ds, ["source"], combine, partial)
 
 
 def kmeans_clusters(sf_dir, k: int = 8, n_iter: int = 8) -> rd.Dataset:
@@ -2551,7 +2506,7 @@ def source_label_stats(sf_dir) -> rd.Dataset:
     hash-partitioned on doc_id with the same partitioner, merged
     per-partition with a vectorized pandas merge, then the (tiny)
     per-partition (source, label) partials re-key through
-    ``_keyed_agg``.  The shuffle moves only the 4 needed columns; the
+    ``_aggregate``.  The shuffle moves only the 4 needed columns; the
     driver never sees a row."""
     docs = _read(sf_dir, "documents", ["doc_id", "source", "n_chars"])
     embs = _rename(
@@ -2566,18 +2521,9 @@ def source_label_stats(sf_dir) -> rd.Dataset:
             .agg(n_docs=("doc_id", "size"), sum_chars=("n_chars", "sum"))
             .reset_index()
         )
-        return g
+        return g.astype({"label": "int64", "n_docs": "int64", "sum_chars": "int64"})
 
-    def combine(g: pd.DataFrame) -> pd.DataFrame:
-        out = (
-            g.groupby(["source", "label"], sort=False)[["n_docs", "sum_chars"]]
-            .sum()
-            .reset_index()
-        )
-        out["label"] = out["label"].astype("int64")
-        return out.astype({"n_docs": "int64", "sum_chars": "int64"})
-
-    return _keyed_agg(joined, partial, combine, ["source", "label"])
+    return _aggregate(joined, ["source", "label"], partial=partial)
 
 
 def shipping_priority(
@@ -2677,7 +2623,7 @@ def shipping_priority(
             ["revenue", "l_orderkey"], ascending=[False, True]
         ).head(k)
 
-    parts = _keyed_agg(j2, partial, combine, ["l_orderkey"]).to_pandas()
+    parts = _aggregate(j2, ["l_orderkey"], combine, partial).to_pandas()
     top = parts.sort_values(
         ["revenue", "l_orderkey"], ascending=[False, True], ignore_index=True
     ).head(k)
@@ -2693,11 +2639,18 @@ def shipping_priority(
 # semi / anti joins (EXISTS / NOT EXISTS at scale)
 
 
+def _bloom_bits(n_keys: int) -> int:
+    """Bloom filter size for up to ``n_keys`` distinct keys: 16 bits a
+    key keeps the two-probe false-positive rate near 1.4% (a fixed size
+    saturates silently as keys grow), with 1 Mbit as the floor."""
+    return max(1 << 20, 16 * n_keys)
+
+
 def _bloom_build(keys_ds: rd.Dataset, on: str, n_bits: int) -> np.ndarray:
     """Distributed Bloom filter over a key column: each batch sets its
     bits in a local bitmap partial (two double-hashed probes via the
-    same deterministic siphash as ``_hash_mod``), partials tree-OR
-    down to one ``n_bits/8``-byte array.  No false negatives ever."""
+    same deterministic siphash as ``_hash_mod``), and one task ORs the
+    partials into one ``n_bits/8``-byte array.  No false negatives ever."""
     nb = np.uint64(n_bits)
 
     def probes(s: pd.Series) -> tuple[np.ndarray, np.ndarray]:
@@ -2706,11 +2659,6 @@ def _bloom_build(keys_ds: rd.Dataset, on: str, n_bits: int) -> np.ndarray:
         return (h1 % nb).astype(np.int64), ((h1 + h2) % nb).astype(np.int64)
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        if "bits" in df.columns:  # OR-combining partials
-            acc = np.frombuffer(df["bits"].iloc[0], dtype=np.uint8).copy()
-            for b in df["bits"].iloc[1:]:
-                acc |= np.frombuffer(b, dtype=np.uint8)
-            return pd.DataFrame({"bits": [acc.tobytes()]})
         bits = np.zeros(n_bits // 8, dtype=np.uint8)
         p1, p2 = probes(df[on])
         for p in (p1, p2):
@@ -2721,7 +2669,11 @@ def _bloom_build(keys_ds: rd.Dataset, on: str, n_bits: int) -> np.ndarray:
             )
         return pd.DataFrame({"bits": [bits.tobytes()]})
 
-    merged = _tree_agg(keys_ds, partial).to_pandas()
+    def combine(df: pd.DataFrame) -> pd.DataFrame:
+        parts = [np.frombuffer(b, dtype=np.uint8) for b in df["bits"]]
+        return pd.DataFrame({"bits": [np.bitwise_or.reduce(parts).tobytes()]})
+
+    merged = _aggregate(keys_ds, [], combine, partial).to_pandas()
     if merged.empty:  # no keys: nothing may pass
         return np.zeros(n_bits // 8, dtype=np.uint8)
     return np.frombuffer(merged["bits"].iloc[0], dtype=np.uint8)
@@ -2791,15 +2743,11 @@ def priority_semi_counts(sf_dir, flag: str = "R") -> rd.Dataset:
     hits = _semi_anti_join(orders, li, on="o_orderkey")
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        col = "n_orders" if "n_orders" in df.columns else "o_orderkey"
-        agg = "sum" if col == "n_orders" else "size"
-        g = df.groupby("o_orderpriority", sort=False)
-        out = (g[col].sum() if agg == "sum" else g.size()).reset_index(
+        return df.groupby("o_orderpriority", sort=False).size().reset_index(
             name="n_orders"
         )
-        return out
 
-    return _tree_agg(hits, partial)
+    return _aggregate(hits, ["o_orderpriority"], partial=partial)
 
 
 def churned_customers(sf_dir, cutoff: str = "2000-01-01") -> rd.Dataset:
@@ -2829,11 +2777,6 @@ def churned_customers(sf_dir, cutoff: str = "2000-01-01") -> rd.Dataset:
     idle = _semi_anti_join(cust, orders, on="c_custkey", anti=True)
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        if "n_customers" in df.columns:
-            return df.groupby("c_mktsegment", as_index=False).agg(
-                n_customers=("n_customers", "sum"),
-                sum_acctbal_cents=("sum_acctbal_cents", "sum"),
-            )
         df = df.assign(
             _cents=np.rint(df["c_acctbal"].to_numpy() * 100).astype(np.int64)
         )
@@ -2842,7 +2785,7 @@ def churned_customers(sf_dir, cutoff: str = "2000-01-01") -> rd.Dataset:
             sum_acctbal_cents=("_cents", "sum"),
         )
 
-    return _tree_agg(idle, partial)
+    return _aggregate(idle, ["c_mktsegment"], partial=partial)
 
 
 # ---------------------------------------------------------------------------
@@ -2881,7 +2824,7 @@ def event_interarrival(sf_dir) -> rd.Dataset:
             max_gap_us=("gap_us", "max"),
         )
 
-    partials = _partition_apply(ds, ["user_id"], gaps)
+    partials = _aggregate(ds, ["user_id"], gaps)
 
     def combine(df: pd.DataFrame) -> pd.DataFrame:
         return df.groupby("event_type", as_index=False).agg(
@@ -2890,7 +2833,7 @@ def event_interarrival(sf_dir) -> rd.Dataset:
             max_gap_us=("max_gap_us", "max"),
         )
 
-    return _tree_agg(partials, None, combine)
+    return _aggregate(partials, ["event_type"], combine)
 
 
 _HLL_P = 12  # 4096 registers; ~1.6% standard error
@@ -2926,14 +2869,6 @@ def approx_distinct_users(sf_dir) -> pd.DataFrame:
     ds = _read(sf_dir, "events", ["event_type", "user_id"])
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        if "regs" in df.columns:  # combining partials
-            out = []
-            for et, g in df.groupby("event_type", sort=False):
-                regs = np.frombuffer(g["regs"].iloc[0], dtype=np.uint8)
-                for b in g["regs"].iloc[1:]:
-                    regs = np.maximum(regs, np.frombuffer(b, dtype=np.uint8))
-                out.append((et, regs.tobytes()))
-            return pd.DataFrame(out, columns=["event_type", "regs"])
         h = pd.util.hash_pandas_object(
             df["user_id"], index=False
         ).to_numpy(dtype=np.uint64)
@@ -2945,7 +2880,16 @@ def approx_distinct_users(sf_dir) -> pd.DataFrame:
             out.append((et, regs.tobytes()))
         return pd.DataFrame(out, columns=["event_type", "regs"])
 
-    merged = _tree_agg(ds, partial).to_pandas()
+    def combine(df: pd.DataFrame) -> pd.DataFrame:
+        out = []
+        for et, g in df.groupby("event_type", sort=False):
+            regs = np.zeros(_HLL_M, dtype=np.uint8)
+            for b in g["regs"]:
+                regs = np.maximum(regs, np.frombuffer(b, dtype=np.uint8))
+            out.append((et, regs.tobytes()))
+        return pd.DataFrame(out, columns=["event_type", "regs"])
+
+    merged = _aggregate(ds, ["event_type"], combine, partial).to_pandas()
 
     m = float(_HLL_M)
     alpha = 0.7213 / (1 + 1.079 / m)
@@ -2981,11 +2925,6 @@ def price_band_stats(sf_dir) -> rd.Dataset:
     edges = np.asarray(_PRICE_BAND_EDGES, dtype=np.float64)
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        if "band_lo" in df.columns:
-            return df.groupby("band_lo", as_index=False).agg(
-                n_items=("n_items", "sum"),
-                revenue_cents=("revenue_cents", "sum"),
-            )
         price = df["l_extendedprice"].to_numpy()
         band = np.searchsorted(edges, price, side="right") - 1
         cents = np.rint(price * 100).astype(np.int64)
@@ -2994,7 +2933,7 @@ def price_band_stats(sf_dir) -> rd.Dataset:
         ).groupby("band_lo", as_index=False)
         return g.agg(n_items=("cents", "size"), revenue_cents=("cents", "sum"))
 
-    return _tree_agg(ds, partial)
+    return _aggregate(ds, ["band_lo"], partial=partial)
 
 
 def source_lang_rollup(sf_dir) -> rd.Dataset:
@@ -3012,12 +2951,7 @@ def source_lang_rollup(sf_dir) -> rd.Dataset:
             n_docs=("n_chars", "size"), sum_chars=("n_chars", "sum")
         )
 
-    def combine(g: pd.DataFrame) -> pd.DataFrame:
-        return g.groupby(["source", "lang"], as_index=False).agg(
-            n_docs=("n_docs", "sum"), sum_chars=("sum_chars", "sum")
-        )
-
-    finest = _keyed_agg(ds, partial, combine, ["source", "lang"])
+    finest = _aggregate(ds, ["source", "lang"], partial=partial)
 
     def rollup(df: pd.DataFrame) -> pd.DataFrame:
         by_source = df.groupby("source", as_index=False).agg(
@@ -3037,7 +2971,7 @@ def source_lang_rollup(sf_dir) -> rd.Dataset:
             [df[cols], by_source[cols], total[cols]], ignore_index=True
         )
 
-    return _tree_agg(finest, None, rollup)
+    return _aggregate(finest, [], rollup)
 
 
 def small_quantity_revenue(sf_dir) -> rd.Dataset:
@@ -3066,12 +3000,7 @@ def small_quantity_revenue(sf_dir) -> rd.Dataset:
             .agg(s=("q", "sum"), n=("q", "size"))
         )
 
-    def stat_combine(g: pd.DataFrame) -> pd.DataFrame:
-        return g.groupby("l_partkey", as_index=False).agg(
-            s=("s", "sum"), n=("n", "sum")
-        )
-
-    stats = _keyed_agg(li, stat_partial, stat_combine, ["l_partkey"])
+    stats = _aggregate(li, ["l_partkey"], partial=stat_partial)
 
     part = pd.read_parquet(
         _path(sf_dir, "part"), columns=["p_partkey", "p_brand"]
@@ -3100,14 +3029,7 @@ def small_quantity_revenue(sf_dir) -> rd.Dataset:
             .agg(n_items=("cents", "size"), revenue_cents=("cents", "sum"))
         )
 
-    partials = joined.map_batches(filter_brand, batch_format="pandas")
-
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("p_brand", as_index=False).agg(
-            n_items=("n_items", "sum"), revenue_cents=("revenue_cents", "sum")
-        )
-
-    return _tree_agg(partials, None, combine)
+    return _aggregate(joined, ["p_brand"], partial=filter_brand)
 
 
 # the corpus' closed lang set — documented contract shared with the
@@ -3119,15 +3041,13 @@ _PIVOT_LANGS = ["de", "en", "es", "fr", "zh"]
 def lang_source_pivot(sf_dir) -> rd.Dataset:
     """PIVOT: one row per source, one ``n_<lang>`` count column per
     corpus language.  Conditional-aggregation shape: each batch emits
-    an already-wide partial (vectorized crosstab), partials sum in a
-    tiny final task — the wide table never exists as long skinny rows
+    an already-wide partial (vectorized crosstab), partials sum per
+    source partition — the wide table never exists as long skinny rows
     and nothing but (sources x langs) ints ever moves."""
     ds = _read(sf_dir, "documents", ["source", "lang"])
     cols = [f"n_{l}" for l in _PIVOT_LANGS]
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        if "n_de" in df.columns:  # combining wide partials
-            return df.groupby("source", as_index=False)[cols].sum()
         wide = pd.crosstab(df["source"], df["lang"])
         wide = wide.reindex(columns=_PIVOT_LANGS, fill_value=0).astype(
             np.int64
@@ -3135,7 +3055,7 @@ def lang_source_pivot(sf_dir) -> rd.Dataset:
         wide.columns = cols
         return wide.rename_axis("source").reset_index()
 
-    return _tree_agg(ds, partial)
+    return _aggregate(ds, ["source"], partial=partial)
 
 
 def heavy_hitters(sf_dir, phi_den: int = 1000) -> pd.DataFrame:
@@ -3144,11 +3064,12 @@ def heavy_hitters(sf_dir, phi_den: int = 1000) -> pd.DataFrame:
 
     pass 1 — per-batch Misra-Gries summaries (capacity 4x the
     threshold, so any true heavy hitter provably survives the merge's
-    <= n/(m+1) undercount) tree-merge down to <= m candidate rows; the
-    full vocabulary never shuffles anywhere.
+    <= n/(m+1) undercount) merge in one task down to <= m candidate
+    rows; the full vocabulary never shuffles anywhere.
     pass 2 — the candidate set broadcasts once (``ray.put``) and each
-    batch counts ONLY candidates exactly, plus its token total; a tiny
-    combine then applies the integer-exact cut ``phi_den * n > total``
+    batch counts ONLY candidates exactly, plus its token total; the
+    counts sum per word partition, and the collected <= m rows take
+    the integer-exact cut ``phi_den * n > total``
     (never ``n > phi * total`` — binary 0.001 could flip a borderline
     word vs the oracle).
 
@@ -3157,13 +3078,7 @@ def heavy_hitters(sf_dir, phi_den: int = 1000) -> pd.DataFrame:
     m = 4 * phi_den
     ds = _read(sf_dir, "documents", ["text"])
 
-    def mg_partial(df: pd.DataFrame) -> pd.DataFrame:
-        if "w" in df.columns:  # merging summaries
-            g = df.groupby("word", as_index=False).agg(w=("w", "sum"))
-        else:
-            words = df["text"].str.split().explode().dropna()
-            vc = words.value_counts()
-            g = vc.rename_axis("word").reset_index(name="w")
+    def mg_cut(g: pd.DataFrame) -> pd.DataFrame:
         if len(g) > m:
             g = g.sort_values("w", ascending=False, ignore_index=True)
             cut = int(g["w"].iloc[m])  # (m+1)-th largest
@@ -3171,7 +3086,18 @@ def heavy_hitters(sf_dir, phi_den: int = 1000) -> pd.DataFrame:
             g = g[g["w"] > 0]
         return g
 
-    cand = _tree_agg(ds, mg_partial).to_pandas()
+    def mg_partial(df: pd.DataFrame) -> pd.DataFrame:
+        words = df["text"].str.split().explode().dropna()
+        return mg_cut(words.value_counts().rename_axis("word").reset_index(name="w"))
+
+    def mg_merge(df: pd.DataFrame) -> pd.DataFrame:
+        return mg_cut(df.groupby("word", as_index=False).agg(w=("w", "sum")))
+
+    cand = _aggregate(ds, [], mg_merge, mg_partial).to_pandas()
+    if cand.empty:  # no token at all: no heavy hitter
+        return pd.DataFrame(
+            {"word": pd.Series(dtype=object), "n": pd.Series(dtype="int64")}
+        )
     cand_ref = ray.put(frozenset(cand["word"]))
 
     def exact_count(df: pd.DataFrame) -> pd.DataFrame:
@@ -3186,14 +3112,7 @@ def heavy_hitters(sf_dir, phi_den: int = 1000) -> pd.DataFrame:
         out["total"] = np.int64(total)
         return out
 
-    partials = ds.map_batches(exact_count, batch_format="pandas")
-    agg = _tree_agg(
-        partials,
-        None,
-        lambda df: df.groupby("word", as_index=False).agg(
-            n=("n", "sum"), total=("total", "sum")
-        ),
-    ).to_pandas()
+    agg = _aggregate(ds, ["word"], partial=exact_count).to_pandas()
     total = int(agg.loc[agg["word"] == "", "total"].sum())
     out = agg[(agg["word"] != "") & (phi_den * agg["n"] > total)]
     return out[["word", "n"]].sort_values(
@@ -3227,14 +3146,15 @@ def unigram_surprisal(sf_dir) -> rd.Dataset:
     # tf feeds BOTH the total pass and the scoring shuffle; pin it once
     # (lazy re-execution would tokenize the whole corpus twice)
     tf = ds.map_batches(tf_partial, batch_format="pandas").materialize()
+    if tf.count() == 0:  # no token at all: a typed empty result
+        cols = ("doc_id", "n_tokens", "microbits")
+        return rd.from_arrow(pa.table({c: pa.array([], pa.int64()) for c in cols}))
 
-    # corpus totals: tiny P-row second pass over the tf rows
+    # corpus total: one row per batch, summed in one task
     total = int(
-        _tree_agg(
-            tf,
-            lambda df: pd.DataFrame({"t": [df["tf"].sum()]}),
-            lambda df: pd.DataFrame({"t": [df["t"].sum()]}),
-        ).to_pandas()["t"].iloc[0]
+        _aggregate(tf, [], partial=lambda df: pd.DataFrame({"tf": [df["tf"].sum()]}))
+        .to_pandas()["tf"]
+        .iloc[0]
     )
 
     def attach_q(g: pd.DataFrame) -> pd.DataFrame:
@@ -3245,14 +3165,14 @@ def unigram_surprisal(sf_dir) -> rd.Dataset:
         g["q"] = q * g["tf"].to_numpy()
         return g
 
-    scored = _partition_apply(tf, ["word"], attach_q)
+    scored = _aggregate(tf, ["word"], attach_q)
 
     def per_doc(g: pd.DataFrame) -> pd.DataFrame:
         return g.groupby("doc_id", as_index=False).agg(
             n_tokens=("tf", "sum"), microbits=("q", "sum")
         )
 
-    return _partition_apply(scored, ["doc_id"], per_doc)
+    return _aggregate(scored, ["doc_id"], per_doc)
 
 
 def rolling_daily_revenue(sf_dir, window: int = 7) -> pd.DataFrame:
@@ -3268,10 +3188,6 @@ def rolling_daily_revenue(sf_dir, window: int = 7) -> pd.DataFrame:
     ds = _read(sf_dir, "lineitem", ["l_shipdate", "l_extendedprice"])
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        if "revenue_cents" in df.columns:
-            return df.groupby("day", as_index=False).agg(
-                revenue_cents=("revenue_cents", "sum")
-            )
         cents = np.rint(df["l_extendedprice"].to_numpy() * 100).astype(
             np.int64
         )
@@ -3282,7 +3198,7 @@ def rolling_daily_revenue(sf_dir, window: int = 7) -> pd.DataFrame:
             .agg(revenue_cents=("revenue_cents", "sum"))
         )
 
-    daily = _tree_agg(ds, partial).to_pandas()
+    daily = _aggregate(ds, ["day"], partial=partial).to_pandas()
     daily = daily.sort_values("day", ignore_index=True)
     daily["rolling_cents"] = (
         daily["revenue_cents"].rolling(window, min_periods=1).sum().astype(
@@ -3328,7 +3244,7 @@ def source_median_chars(sf_dir) -> rd.Dataset:
             out, columns=["source", "median_chars", "n_docs"]
         ).astype({"median_chars": "int64", "n_docs": "int64"})
 
-    return _partition_apply(partials, ["source"], median_per_source)
+    return _aggregate(partials, ["source"], median_per_source)
 
 
 def funnel_counts(
@@ -3363,7 +3279,7 @@ def funnel_counts(
             counts.append(np.int64(len(cur)))
         return pd.DataFrame([counts], columns=cols)
 
-    parts = _partition_apply(ds, ["user_id"], funnel_part)
+    parts = _aggregate(ds, ["user_id"], funnel_part)
     total = parts.to_pandas()[cols].sum()
     return pd.DataFrame([total.to_list()], columns=cols).astype("int64")
 
@@ -3391,14 +3307,8 @@ def distinct_users_exact(sf_dir) -> rd.Dataset:
             .rename(columns={"size": "n_users"})
         )
 
-    parts = _partition_apply(dd, ["user_id"], count_part)
-
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("event_type", as_index=False).agg(
-            n_users=("n_users", "sum")
-        )
-
-    return _tree_agg(parts, None, combine)
+    parts = _aggregate(dd, ["user_id"], count_part)
+    return _aggregate(parts, ["event_type"])
 
 
 def first_events_per_user(sf_dir, k: int = 3) -> rd.Dataset:
@@ -3419,7 +3329,7 @@ def first_events_per_user(sf_dir, k: int = 3) -> rd.Dataset:
             {"seqno": "int64"}
         )
 
-    return _partition_apply(ds, ["user_id"], number)
+    return _aggregate(ds, ["user_id"], number)
 
 
 def cohort_retention(sf_dir) -> rd.Dataset:
@@ -3454,11 +3364,5 @@ def cohort_retention(sf_dir) -> rd.Dataset:
             .rename(columns={"size": "n_users"})
         )
 
-    parts = _partition_apply(ds, ["user_id"], retention_part)
-
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby(
-            ["cohort_day", "day_offset"], as_index=False
-        ).agg(n_users=("n_users", "sum"))
-
-    return _tree_agg(parts, None, combine)
+    parts = _aggregate(ds, ["user_id"], retention_part)
+    return _aggregate(parts, ["cohort_day", "day_offset"])

@@ -88,27 +88,17 @@ def load_documents(sf_dir: str, shard=None, num_shards=None) -> rd.Dataset:
     file subset (no re-reading); a single-file corpus falls back to a
     doc_id-hash filter.
     """
-    import ray
+    from .dataops import _clean_schema, _num_blocks
 
     files = _document_files(sf_dir)
     if shard is not None and num_shards and len(files) >= num_shards:
         files = files[shard::num_shards]
         shard = None  # file-level sharding replaces the hash filter
-    total = sum(os.path.getsize(f) for f in files)
-    kwargs = {}
-    if total <= (1 << 30):
-        # small input: cap read blocks at the CPU count — Ray's ~200-block
-        # default turns downstream stages into empty-block task storms
-        cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-        kwargs["override_num_blocks"] = max(4, min(cpus, 64))
-    from .dataops import _clean_schema
-
     ds = rd.read_parquet(
         files,
         columns=["doc_id", "text"],
-        schema=_clean_schema(files[0] if isinstance(files, list) else files,
-                             ["doc_id", "text"]),
-        **kwargs,
+        schema=_clean_schema(files[0], ["doc_id", "text"]),
+        override_num_blocks=_num_blocks(sum(os.path.getsize(f) for f in files)),
     )
     if shard is not None and num_shards:
         def pick(t: pa.Table) -> pa.Table:
@@ -555,12 +545,9 @@ def dedup_output(ds: rd.Dataset) -> rd.Dataset:
     vectorized drop_duplicates per PARTITION.  Same semantics as a
     per-id groupby-first, but the Python overhead is O(partitions),
     not O(documents) — the measured 0.5 ms/group map_groups trap."""
-    from .dataops import _partition_apply
+    from .dataops import _aggregate
 
-    def first_per_id(g):
-        return g.drop_duplicates("doc_id")
-
-    return _partition_apply(ds, ["doc_id"], first_per_id)
+    return _aggregate(ds, ["doc_id"], lambda g: g.drop_duplicates("doc_id"))
 
 
 def spans_flat(ds: rd.Dataset) -> rd.Dataset:

@@ -571,6 +571,13 @@ def test_major_ops_handle_empty_corpus(tmp_path):
     assert len(U.embedding_near_dups_df(td)) == 0
     assert len(D.ann_topk_lsh(td)) == 0
     assert len(D.ann_topk_ivf(td)) == 0
+    hh = D.heavy_hitters(td)
+    assert len(hh) == 0
+    assert hh.dtypes.astype(str).to_dict() == {"word": "object", "n": "int64"}
+    us = D.unigram_surprisal(td).materialize()
+    assert us.count() == 0
+    assert us.schema().names == ["doc_id", "n_tokens", "microbits"]
+    assert us.schema().types == [pa.int64()] * 3
 
 
 def test_dup_group_histogram_planted(tmp_path):
@@ -1994,6 +2001,22 @@ def test_bloom_prefiltered_semi_join_identical():
     assert D._bloom_test(bits, others).mean() < 0.5
 
 
+def test_bloom_sized_from_key_count():
+    """A filter sized by _bloom_bits for 500k keys stays selective on
+    keys it never saw (a fixed 1 Mbit filter passes ~38% of them at that
+    load), and still admits every inserted key."""
+    import ray.data as rd
+
+    from html_extract import dataops as D
+
+    n = 500_000
+    keys = pd.DataFrame({"k": np.arange(0, 2 * n, 2, dtype="int64")})
+    bits = D._bloom_build(rd.from_pandas(keys), "k", D._bloom_bits(n))
+    assert D._bloom_test(bits, keys["k"]).all()
+    fresh = pd.Series(np.arange(1, 2 * n, 2, dtype="int64"))
+    assert D._bloom_test(bits, fresh).mean() < 0.05
+
+
 def test_first_events_per_user_matches_row_number(monkeypatch):
     from html_extract import dataops as D
 
@@ -2193,6 +2216,35 @@ def test_exchange_contract():
     # some partition is one-sided, so the typed empties were exercised
     assert any(min(len(lk), len(rk)) == 0 < max(len(lk), len(rk))
                for lk, rk in zip(out["lkeys"], out["rkeys"]))
+
+
+def test_aggregate_default_sums_by_keys(monkeypatch):
+    """_aggregate with no combine sums every non-key column by the keys
+    (int64 stays int64) whatever the partition count; with no keys it
+    is one partition, whose combine sees every row."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from html_extract import dataops as D
+
+    t = pa.table(
+        {
+            "k": pa.array([i % 5 for i in range(100)], pa.int64()),
+            "s": pa.array(["ab"[i % 2] for i in range(100)]),
+            "v": pa.array(range(100), pa.int64()),
+        }
+    )
+    ds = rd.from_arrow(t).repartition(4)
+    want = t.to_pandas().groupby(["k", "s"], as_index=False).sum()
+    for P in (1, 3):
+        monkeypatch.setattr(D, "_num_partitions", lambda: P)
+        got = D._aggregate(ds, ["k", "s"]).to_pandas()
+        got = got.sort_values(["k", "s"], ignore_index=True)
+        pd.testing.assert_frame_equal(got, want)
+    total = D._aggregate(ds, [], partial=lambda df: df[["v"]].sum().to_frame().T)
+    assert total.to_pandas().to_dict("list") == {"v": [4950]}
+    sizes = D._aggregate(ds, [], lambda df: pd.DataFrame({"n": [len(df)]}))
+    assert sizes.to_pandas()["n"].tolist() == [100]
 
 
 def test_exchange_all_empty_input_keeps_typed_schema(tmp_path):

@@ -189,21 +189,24 @@ def test_crlf_error_positions():
 
 
 def test_cli_parse_and_serialize():
+    import os
     import subprocess
     import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
     r = subprocess.run(
         [sys.executable, "-m", "html_extract", "serialize"],
         input=b"<p>x",
         capture_output=True,
-        cwd="/root/repo",
+        cwd=root,
     )
     assert r.stdout.strip() == b"<html><head></head><body><p>x</p></body></html>"
     r = subprocess.run(
         [sys.executable, "-m", "html_extract", "parse"],
         input=b"<article><p>A paragraph long enough for the density scoring to keep around.</p></article>",
         capture_output=True,
-        cwd="/root/repo",
+        cwd=root,
     )
     import json
 

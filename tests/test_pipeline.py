@@ -302,7 +302,8 @@ def test_one_cpu_session_completes():
 
 
 # every dataops query whose map stages ran as per-Dataset actor pools,
-# and the two whose Jaccard verify waited on an all-to-all
+# the two whose Jaccard verify waited on an all-to-all, and the ones
+# whose keyless combine (a repartition(1)) ran beside independent reads
 ONE_CPU_QUERY_NAMES = [
     "langid",
     "minhash_candidates",
@@ -317,6 +318,13 @@ ONE_CPU_QUERY_NAMES = [
     "heavy_hitters",
     "minhash_pairs",
     "minhash_dedup",
+    "priority_semi_counts",
+    "churned_customers",
+    "source_lang_rollup",
+    "dup_group_histogram",
+    "distinct_users_exact",
+    "cohort_retention",
+    "event_interarrival",
 ]
 
 
