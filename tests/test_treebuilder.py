@@ -7,6 +7,7 @@ import os
 
 import pytest
 
+from html_extract.dom import EMPTY_MAP
 from html_extract.parser import Config, parse, parse_fragment
 from tests.corpus_util import CORPUS, load_tree_tests
 from tests.treefmt import serialize_test_format
@@ -60,3 +61,5 @@ def test_tree_case(case, pi):
     assert got == case["expected"], (
         f"input: {case['data']!r}\n--- got ---\n{got}\n--- want ---\n{case['expected']}"
     )
+    # no writer reached the shared, read-only empty attrs/attr_ns
+    assert EMPTY_MAP == {}

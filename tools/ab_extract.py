@@ -11,20 +11,25 @@ made with ``git clone``), B_CHECKOUT the change.  Two jobs are timed:
   ``perfbench.inputs.documents`` in batches of 64 (the work of the
   corpus_extract workload without Ray).
 
-The inputs are built once, by this checkout, and read by both sides.
+The inputs are built once, by this checkout in a child process, and
+read by both sides.
 Every measurement is a fresh process that imports ``html_extract`` from
 its checkout, freezes the heap (``gc.freeze()``), runs one untimed
 warm-up and then 3 timed jobs, each preceded by an untimed
 ``gc.collect()`` and ending with a timed one, as ``perfbench/run.py``
 does.  5 rounds (seed 42) alternate which side runs first.  Printed per
 job: each side's median over the rounds of its per-process median, the
-ratio A/B (> 1: B is faster), how many rounds B won, and whether both
-sides produced the same spans and meta (``parse_ns`` aside).
+ratio A/B (> 1: B is faster), how many rounds B won, each side's median
+peak RSS (the worker process's ``ru_maxrss``: imports, inputs and the
+jobs, so for ``bigdoc`` mostly the page's DOM), and whether both sides
+produced the same spans and meta (``parse_ns`` aside).
 """
 
 import hashlib
 import json
+import multiprocessing
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -54,6 +59,17 @@ def build_inputs(workdir):
     table = inputs.documents(SEED, N_DOCS).select(["doc_id", "text"])
     corpus = pa.concat_tables(list(P.InterleaveAdapter()(table)))
     pq.write_table(corpus, os.path.join(workdir, "corpus.parquet"))
+
+
+def build_inputs_apart(workdir):
+    """``build_inputs`` in a child, so this process stays small: Linux
+    carries ``ru_maxrss`` across fork and exec, and a worker would report
+    at least this process's peak."""
+    child = multiprocessing.get_context("fork").Process(target=build_inputs, args=(workdir,))
+    child.start()
+    child.join()
+    if child.exitcode:
+        raise SystemExit(f"building the inputs failed (exit code {child.exitcode})")
 
 
 def _sans_parse_ns(meta):
@@ -104,7 +120,9 @@ def worker(checkout, job, workdir):
         out = run()
         gc.collect()
         times.append(time.perf_counter() - t0)
-    print(json.dumps({"times": times, "digest": digest, "module": E.__file__}))
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+    print(json.dumps({"times": times, "peak_mb": peak_mb, "digest": digest,
+                      "module": E.__file__}))
 
 
 def measure(checkout, job, workdir):
@@ -118,7 +136,7 @@ def measure(checkout, job, workdir):
     want = os.path.join(os.path.abspath(checkout), "html_extract")
     if not res["module"].startswith(want + os.sep):
         raise SystemExit(f"{checkout}: imported {res['module']}, not its own html_extract")
-    return statistics.median(res["times"]), res["digest"]
+    return statistics.median(res["times"]), res["peak_mb"], res["digest"]
 
 
 def main():
@@ -129,23 +147,28 @@ def main():
         raise SystemExit(__doc__)
     sides = {"A": sys.argv[1], "B": sys.argv[2]}
     with tempfile.TemporaryDirectory(prefix="ab_extract-") as workdir:
-        build_inputs(workdir)
+        build_inputs_apart(workdir)
         for job in JOBS:
             medians = {"A": [], "B": []}
+            peaks = {"A": [], "B": []}
             digests = {}
             for r in range(ROUNDS):
                 order = "AB" if r % 2 == 0 else "BA"
                 for side in order:
-                    t, digests[side] = measure(sides[side], job, workdir)
+                    t, peak, digests[side] = measure(sides[side], job, workdir)
                     medians[side].append(t)
+                    peaks[side].append(peak)
                 print(f"{job} round {r + 1}: A {medians['A'][-1]:.3f} s, "
                       f"B {medians['B'][-1]:.3f} s", file=sys.stderr)
             a = statistics.median(medians["A"])
             b = statistics.median(medians["B"])
             wins = sum(tb < ta for ta, tb in zip(medians["A"], medians["B"]))
             same = "same output" if digests["A"] == digests["B"] else "OUTPUTS DIFFER"
+            rss_a = statistics.median(peaks["A"])
+            rss_b = statistics.median(peaks["B"])
             print(f"{job}: A {a:.3f} s, B {b:.3f} s, A/B {a / b:.3f}, "
-                  f"B won {wins}/{ROUNDS} rounds, {same}")
+                  f"B won {wins}/{ROUNDS} rounds, "
+                  f"peak RSS A {rss_a:.1f} MB, B {rss_b:.1f} MB, {same}")
 
 
 if __name__ == "__main__":
