@@ -2646,22 +2646,25 @@ def _bloom_bits(n_keys: int) -> int:
     return max(1 << 20, 16 * n_keys)
 
 
+def _bloom_probes(s: pd.Series, n_bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two double-hashed bit positions of each key (the same
+    deterministic siphash as ``_hash_mod``), shared by the build and the
+    test so they can never disagree (a false negative)."""
+    nb = np.uint64(n_bits)
+    h1 = pd.util.hash_pandas_object(s, index=False).to_numpy(np.uint64)
+    h2 = (h1 >> np.uint64(17)) | np.uint64(1)  # odd second hash
+    return (h1 % nb).astype(np.int64), ((h1 + h2) % nb).astype(np.int64)
+
+
 def _bloom_build(keys_ds: rd.Dataset, on: str, n_bits: int) -> np.ndarray:
     """Distributed Bloom filter over a key column: each batch sets its
-    bits in a local bitmap partial (two double-hashed probes via the
-    same deterministic siphash as ``_hash_mod``), and one task ORs the
-    partials into one ``n_bits/8``-byte array.  No false negatives ever."""
-    nb = np.uint64(n_bits)
-
-    def probes(s: pd.Series) -> tuple[np.ndarray, np.ndarray]:
-        h1 = pd.util.hash_pandas_object(s, index=False).to_numpy(np.uint64)
-        h2 = (h1 >> np.uint64(17)) | np.uint64(1)  # odd second hash
-        return (h1 % nb).astype(np.int64), ((h1 + h2) % nb).astype(np.int64)
+    ``_bloom_probes`` bits in a local bitmap partial, and one task ORs
+    the partials into one ``n_bits/8``-byte array.  No false negatives
+    ever."""
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         bits = np.zeros(n_bits // 8, dtype=np.uint8)
-        p1, p2 = probes(df[on])
-        for p in (p1, p2):
+        for p in _bloom_probes(df[on], n_bits):
             # unbuffered |= : duplicate byte indices must all land
             np.bitwise_or.at(
                 bits, p // 8,
@@ -2680,11 +2683,8 @@ def _bloom_build(keys_ds: rd.Dataset, on: str, n_bits: int) -> np.ndarray:
 
 
 def _bloom_test(bits: np.ndarray, s: pd.Series) -> np.ndarray:
-    nb = np.uint64(len(bits) * 8)
-    h1 = pd.util.hash_pandas_object(s, index=False).to_numpy(np.uint64)
-    h2 = (h1 >> np.uint64(17)) | np.uint64(1)
     m = np.ones(len(s), dtype=bool)
-    for p in ((h1 % nb).astype(np.int64), ((h1 + h2) % nb).astype(np.int64)):
+    for p in _bloom_probes(s, len(bits) * 8):
         m &= ((bits[p // 8] >> (p % 8).astype(np.uint8)) & 1).astype(bool)
     return m
 

@@ -281,7 +281,7 @@ def gc_paused():
 _EXTRACT_CONFIG = Config(error_collection=True, error_positions=False)
 
 
-def extract_spans(data, content_type=None):
+def extract_spans(data):
     """One HTML payload (str/bytes) -> (spans, meta) where spans is a list
     of (kind, text, media_ref) and meta mirrors the Output record.
 
@@ -289,7 +289,7 @@ def extract_spans(data, content_type=None):
     counting (README, "Per-document memory lifecycle")."""
     with gc_paused():
         t0 = time.perf_counter_ns()
-        out = parse(data, content_type=content_type, config=_EXTRACT_CONFIG)
+        out = parse(data, config=_EXTRACT_CONFIG)
         spans = extract_from_document(out.document)
         n_nodes = release_tree(out.document)
         parse_ns = time.perf_counter_ns() - t0
@@ -303,7 +303,7 @@ def extract_spans(data, content_type=None):
     return spans, meta
 
 
-def process_document(doc_id, in_spans, content_type=None):
+def process_document(doc_id, in_spans):
     """Process one interleaved document (the input_hint row shape).
 
     ``in_spans``: iterable of (kind, text, media_ref) ordered by offset.
@@ -319,7 +319,7 @@ def process_document(doc_id, in_spans, content_type=None):
     }
     for kind, text, media_ref in in_spans:
         if kind == "html":
-            spans, meta = extract_spans(text, content_type)
+            spans, meta = extract_spans(text)
             out.extend(spans)
             meta_acc["encoding"] = meta["encoding"]
             meta_acc["quirks_mode"] = max(

@@ -22,7 +22,6 @@ class Config:
     """Pipeline config (reference: lib/Parser/Config.php:9-22)."""
 
     encoding_fallback: str = "windows-1252"
-    encoding_prescan_bytes: int = cs.PRESCAN_DEFAULT
     error_collection: bool = False
     # line/col resolution + input-stream scans cost ~10% of a parse; the
     # pipeline only needs error COUNTS, so it turns positions off

@@ -21,8 +21,10 @@ Scale notes (the 100 TB design):
   exists — per-partition lineage + checkpoint resume without a shuffle.
 """
 
+import hashlib
 import json
 import os
+import shutil
 import time
 
 import pyarrow as pa
@@ -31,6 +33,7 @@ import ray.data as rd
 
 from .extract import process_document
 from .htmlgen import make_interleaved_spans
+from .io_lance import write_dataset
 
 SPAN_IN_T = pa.struct(
     [
@@ -111,21 +114,49 @@ def load_documents(sf_dir: str, shard=None, num_shards=None) -> rd.Dataset:
     return ds
 
 
+def _span_rows(col: pa.ChunkedArray, *fields):
+    """Per row of a list<struct> table column: a list of tuples of the
+    named fields, or None for a null row.  The structs are flattened once
+    per column (one C-level read per field, no Python dict per span) and
+    cut by per-row lengths, so a sliced list array, whose offsets do not
+    start at 0, reads the same as a fresh one."""
+    col = col.combine_chunks()
+    flat = col.flatten()
+    items = list(zip(*(flat.field(f).to_pylist() for f in fields)))
+    rows, pos = [], 0
+    for n in pc.list_value_length(col).to_pylist():
+        if n is None:
+            rows.append(None)
+            continue
+        rows.append(items[pos : pos + n])
+        pos += n
+    return rows
+
+
+def _span_column(rows, span_type) -> pa.ListArray:
+    """Rows of span tuples, in ``span_type``'s field order, as one
+    list<span_type> column built straight from flat child arrays."""
+    flat, offsets = [], [0]
+    for row in rows:
+        flat.extend(row)
+        offsets.append(len(flat))
+    cols = zip(*flat) if flat else [()] * span_type.num_fields
+    values = pa.StructArray.from_arrays(
+        [pa.array(c, f.type) for c, f in zip(cols, span_type)], fields=list(span_type)
+    )
+    return pa.ListArray.from_arrays(pa.array(offsets, pa.int32()), values)
+
+
 class InterleaveAdapter:
     """documents(doc_id:int64, text) -> input_hint rows
-    (doc_id:string, spans:list<struct>, n_bytes:int64).
+    (doc_id:string, spans:list<SPAN_IN_T>, n_bytes:int64).
 
-    Yields multiple Arrow sub-tables per input batch, cut by cumulative
-    html bytes — the skew-defusing block shaping described above.
+    Yields multiple Arrow sub-tables per input batch, cut at
+    ADAPTER_SLICE_BYTES of cumulative html bytes — the skew-defusing
+    block shaping described above.
     """
 
-    def __init__(
-        self,
-        slice_bytes: int = ADAPTER_SLICE_BYTES,
-        replicate: int = 1,
-        mode: str = "rich",
-    ):
-        self.slice_bytes = slice_bytes
+    def __init__(self, replicate: int = 1, mode: str = "rich"):
         # replicate>1 synthesizes R distinct documents per source row
         # (distinct doc_id seeds -> distinct HTML); used by bench runs to
         # scale work deterministically without external data
@@ -136,44 +167,45 @@ class InterleaveAdapter:
         self.mode = mode
 
     def __call__(self, batch: pa.Table):
-        ids = batch["doc_id"].to_pylist()
-        texts = batch["text"].to_pylist()
-        rows_ids, rows_spans, rows_bytes = [], [], []
+        ids, spans, nbytes = [], [], []
         acc = 0
-        for did0, text in zip(ids, texts):
+        for did, text in zip(batch["doc_id"].to_pylist(), batch["text"].to_pylist()):
             for rep in range(self.replicate):
-                did = did0 + rep * 10_000_000
-                doc_id = f"doc-{did:012d}"
+                doc_id = f"doc-{did + rep * 10_000_000:012d}"
                 if self.mode == "plain":
-                    spans = [("html", text or "", "", 0)]
+                    row = [("html", text or "", "", 0)]
                 else:
-                    spans = make_interleaved_spans(doc_id, text or "")
-                n_bytes = sum(len(s[1]) + len(s[2]) for s in spans)
-                rows_ids.append(doc_id)
-                rows_spans.append(
-                    [
-                        {"kind": k, "text": t, "media_ref": m, "offset": o}
-                        for k, t, m, o in spans
-                    ]
-                )
-                rows_bytes.append(n_bytes)
-                acc += n_bytes
-                if acc >= self.slice_bytes:
-                    yield self._table(rows_ids, rows_spans, rows_bytes)
-                    rows_ids, rows_spans, rows_bytes = [], [], []
+                    row = make_interleaved_spans(doc_id, text or "")
+                ids.append(doc_id)
+                spans.append(row)
+                nbytes.append(sum(len(s[1]) + len(s[2]) for s in row))
+                acc += nbytes[-1]
+                if acc >= ADAPTER_SLICE_BYTES:
+                    yield self._table(ids, spans, nbytes)
+                    ids, spans, nbytes = [], [], []
                     acc = 0
-        if rows_ids:
-            yield self._table(rows_ids, rows_spans, rows_bytes)
+        if ids:
+            yield self._table(ids, spans, nbytes)
 
     @staticmethod
     def _table(ids, spans, nbytes) -> pa.Table:
         return pa.table(
             {
                 "doc_id": pa.array(ids, pa.string()),
-                "spans": pa.array(spans, pa.list_(SPAN_IN_T)),
+                "spans": _span_column(spans, SPAN_IN_T),
                 "n_bytes": pa.array(nbytes, pa.int64()),
             }
         )
+
+
+# the meta of a document that raised: n_errors = -1 marks it
+_POISON_META = {
+    "encoding": "",
+    "quirks_mode": 0,
+    "n_errors": -1,
+    "n_nodes": 0,
+    "parse_ns": 0,
+}
 
 
 class ExtractActor:
@@ -188,91 +220,28 @@ class ExtractActor:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         ids = batch["doc_id"].to_pylist()
-        # flatten the span structs ONCE per batch (three C-level string
-        # column reads) instead of materializing a Python dict per span
-        # (~2x cheaper, measured at 120k docs)
-        spans_col = batch["spans"].combine_chunks()
-        _flat = spans_col.flatten()
-        _trips = list(
-            zip(
-                _flat.field("kind").to_pylist(),
-                _flat.field("text").to_pylist(),
-                _flat.field("media_ref").to_pylist(),
-            )
-        )
-        # slice by per-row lengths (robust to sliced/offset list arrays,
-        # where .offsets would not start at the flattened position 0)
-        spans_in = []
-        _pos = 0
-        for _ln in pc.list_value_length(spans_col).to_pylist():
-            if _ln is None:  # null spans row -> poison-doc path per row
-                spans_in.append(None)
-                continue
-            spans_in.append(_trips[_pos : _pos + _ln])
-            _pos += _ln
         nbytes = (
             batch["n_bytes"].to_pylist()
             if "n_bytes" in batch.column_names
             else [0] * len(ids)
         )
-        # flat columnar accumulation -> ListArray(StructArray) directly;
-        # no per-span Python dicts (measurably cheaper than pa.array on
-        # a list-of-dicts at ~10 spans/doc)
-        kinds, texts, refs, orders = [], [], [], []
-        offsets = [0]
-        m_enc, m_quirks, m_err, m_nodes, m_ns = [], [], [], [], []
-        ok = []
-        for doc_id, row in zip(ids, spans_in):
+        spans, metas = [], []
+        for doc_id, row in zip(
+            ids, _span_rows(batch["spans"], "kind", "text", "media_ref")
+        ):
             try:
-                spans, meta = process_document(doc_id, row)
-                for k, t, m, o in spans:
-                    kinds.append(k)
-                    texts.append(t)
-                    refs.append(m)
-                    orders.append(o)
-                m_enc.append(meta["encoding"])
-                m_quirks.append(meta["quirks_mode"])
-                m_err.append(meta["n_errors"])
-                m_nodes.append(meta["n_nodes"])
-                m_ns.append(meta["parse_ns"])
-                ok.append(True)
-            except Exception:  # poison doc: emit an error row, keep the task
-                m_enc.append("")
-                m_quirks.append(0)
-                m_err.append(-1)
-                m_nodes.append(0)
-                m_ns.append(0)
-                ok.append(False)
-            offsets.append(len(kinds))
-        span_struct = pa.StructArray.from_arrays(
-            [
-                pa.array(kinds, pa.string()),
-                pa.array(texts, pa.string()),
-                pa.array(refs, pa.string()),
-                pa.array(orders, pa.int32()),
-            ],
-            names=["kind", "text", "media_ref", "order"],
-        )
-        spans_col = pa.ListArray.from_arrays(
-            pa.array(offsets, pa.int32()), span_struct
-        )
-        meta_col = pa.StructArray.from_arrays(
-            [
-                pa.array(m_enc, pa.string()),
-                pa.array(m_quirks, pa.int8()),
-                pa.array(m_err, pa.int32()),
-                pa.array(m_nodes, pa.int32()),
-                pa.array(m_ns, pa.int64()),
-            ],
-            names=["encoding", "quirks_mode", "n_errors", "n_nodes", "parse_ns"],
-        )
+                out, meta = process_document(doc_id, row)
+            except Exception:  # poison doc or null spans row: an error row
+                out, meta = (), _POISON_META
+            spans.append(out)
+            metas.append(meta)
         return pa.table(
             {
                 "doc_id": pa.array(ids, pa.string()),
-                "spans": spans_col,
-                "meta": meta_col,
+                "spans": _span_column(spans, SPAN_OUT_T),
+                "meta": pa.array(metas, META_T),
                 "n_bytes": pa.array(nbytes, pa.int64()),
-                "ok": pa.array(ok, pa.bool_()),
+                "ok": pa.array([m is not _POISON_META for m in metas], pa.bool_()),
             }
         )
 
@@ -295,7 +264,6 @@ def extracted_dataset(
     ds: rd.Dataset | None = None,
     concurrency=None,
     batch_size: int = 64,
-    replicate: int = 1,
 ) -> rd.Dataset:
     """The flagship pipeline as a lazy Dataset (no materialization).
 
@@ -307,7 +275,7 @@ def extracted_dataset(
     ``(lo, hi)`` means at most ``hi``.
     """
     if ds is None:
-        ds = interleaved_dataset(sf_dir, replicate=replicate)
+        ds = interleaved_dataset(sf_dir)
     if isinstance(concurrency, tuple):
         concurrency = concurrency[1]
     return ds.map_batches(
@@ -318,19 +286,22 @@ def extracted_dataset(
     )
 
 
-def size_histogram(ds: rd.Dataset, edges=(1 << 8, 1 << 10, 1 << 12, 1 << 14, 1 << 16, 1 << 20)):
+_SIZE_EDGES = (1 << 8, 1 << 10, 1 << 12, 1 << 14, 1 << 16, 1 << 20)
+
+
+def size_histogram(ds: rd.Dataset):
     """Doc-size histogram (drives block shaping / skew decisions).
 
     One cheap vectorized pass over just n_bytes; returns
-    {bucket_upper_bound_or_'inf': count}.
+    {bucket_upper_bound_or_'inf': count} over ``_SIZE_EDGES``.
     """
     import numpy as np
 
-    nb = len(edges) + 1
+    nb = len(_SIZE_EDGES) + 1
 
     def count(t: pa.Table) -> pa.Table:
         arr = t["n_bytes"].to_numpy(zero_copy_only=False)
-        idx = np.searchsorted(np.asarray(edges), arr, side="right")
+        idx = np.searchsorted(np.asarray(_SIZE_EDGES), arr, side="right")
         hist = np.bincount(idx, minlength=nb)
         return pa.table({f"b{i}": [int(hist[i])] for i in range(nb)})
 
@@ -338,7 +309,7 @@ def size_histogram(ds: rd.Dataset, edges=(1 << 8, 1 << 10, 1 << 12, 1 << 14, 1 <
         count, batch_format="pyarrow"
     )
     totals = partials.sum([f"b{i}" for i in range(nb)])
-    labels = [str(e) for e in edges] + ["inf"]
+    labels = [str(e) for e in _SIZE_EDGES] + ["inf"]
     return {
         lab: int(totals[f"sum(b{i})"]) for i, lab in enumerate(labels)
     }
@@ -383,15 +354,9 @@ def run_pipeline(
         shard_dir = os.path.join(out_dir, f"shard={shard}")
         tmp_dir = os.path.join(out_dir, f"_tmp-shard-{shard}")
         if os.path.exists(tmp_dir):
-            import shutil
-
             shutil.rmtree(tmp_dir)
-        from .io_lance import write_dataset
-
         write_dataset(out, tmp_dir)
         if os.path.exists(shard_dir):
-            import shutil
-
             shutil.rmtree(shard_dir)
         os.rename(tmp_dir, shard_dir)
         # lineage metrics from the written files (no recompute)
@@ -431,24 +396,26 @@ def _shard_stats(shard_dir: str) -> dict:
     }
 
 
+def span_fingerprint(spans) -> str:
+    """md5 over one document's ordered (kind, text, media_ref, order)
+    spans — the unit of the north-rule invariant and of the golden
+    file."""
+    h = hashlib.md5()
+    for k, t, m, o in spans:
+        h.update(f"{k}\x1f{t}\x1f{m}\x1f{o}\x1e".encode())
+    return h.hexdigest()
+
+
 def span_fingerprints(ds: rd.Dataset) -> rd.Dataset:
-    """(doc_id, fp) where fp hashes the ordered (kind, text, media_ref,
-    order) sequence — the unit of the north-rule invariant."""
-    import hashlib
+    """(doc_id, fp): ``span_fingerprint`` per extracted document."""
 
     def fp(t: pa.Table) -> pa.Table:
-        ids = t["doc_id"].to_pylist()
-        spans = t["spans"].to_pylist()
-        fps = []
-        for row in spans:
-            h = hashlib.md5()
-            for s in row:
-                h.update(
-                    f"{s['kind']}\x1f{s['text']}\x1f{s['media_ref']}\x1f{s['order']}\x1e".encode()
-                )
-            fps.append(h.hexdigest())
+        rows = _span_rows(t["spans"], "kind", "text", "media_ref", "order")
         return pa.table(
-            {"doc_id": pa.array(ids, pa.string()), "fp": pa.array(fps)}
+            {
+                "doc_id": pa.array(t["doc_id"].to_pylist(), pa.string()),
+                "fp": pa.array([span_fingerprint(r) for r in rows]),
+            }
         )
 
     return ds.map_batches(fp, batch_format="pyarrow")
@@ -463,16 +430,15 @@ def conformance_diff(sf_dir) -> rd.Dataset:
     rows — empty when the invariant holds.  This is the at-scale
     version of the per-row pytest check: it additionally catches
     plumbing corruption (batch slicing, Arrow conversion, shard
-    routing) that a single-process comparison cannot.  Rows are
-    (doc_id, fp_engine, fp_oracle).
+    routing) that a single-process comparison cannot, so the oracle
+    decodes its input with ``to_pylist`` rather than the engine's
+    ``_span_rows``.  Rows are (doc_id, fp_engine, fp_oracle).
     """
     from .dataops import _exchange
 
     engine = span_fingerprints(extracted_dataset(sf_dir))
 
     def oracle(t: pa.Table) -> pa.Table:
-        import hashlib
-
         ids = t["doc_id"].to_pylist()
         spans_in = t["spans"].to_pylist()
         fps = []
@@ -480,10 +446,7 @@ def conformance_diff(sf_dir) -> rd.Dataset:
             spans, _ = process_document(
                 doc_id, [(s["kind"], s["text"], s["media_ref"]) for s in row]
             )
-            h = hashlib.md5()
-            for k, txt, m, o in spans:
-                h.update(f"{k}\x1f{txt}\x1f{m}\x1f{o}\x1e".encode())
-            fps.append(h.hexdigest())
+            fps.append(span_fingerprint(spans))
         return pa.table(
             {"doc_id": pa.array(ids, pa.string()), "fp": pa.array(fps)}
         )
@@ -518,12 +481,11 @@ def reserialized(sf_dir, **options) -> rd.Dataset:
 
     def rt(t: pa.Table) -> pa.Table:
         ids = t["doc_id"].to_pylist()
-        spans = t["spans"].to_pylist()
         out_ids, html = [], []
-        for doc_id, row in zip(ids, spans):
-            for s in row:
-                if s["kind"] == "html":
-                    doc = parse(s["text"]).document
+        for doc_id, row in zip(ids, _span_rows(t["spans"], "kind", "text")):
+            for kind, text in row:
+                if kind == "html":
+                    doc = parse(text).document
                     out_ids.append(doc_id)
                     html.append(serialize(doc, **options))
                     release_tree(doc)

@@ -266,17 +266,6 @@ class Tokenizer:
         if c == "/":
             return self._end_tag_open(p + 1)
         if c in _ALPHA:
-            m = RE_SIMPLE_TAG.match(s, p)
-            if m is not None:  # `<name>`: no attrs, back to data state
-                q = m.end()
-                self.p = q
-                self.state = DATA
-                name = s[p : q - 1]
-                if not name.islower():
-                    name = name.translate(_LOWER)
-                name = self.names.setdefault(name, name)
-                self.last_start_tag = name
-                return [("StartTag", name, EMPTY_MAP, False)]
             return self._scan_tag(p, True)
         if c == "?":
             self._err("unexpected-question-mark-instead-of-tag-name", p)
@@ -293,15 +282,6 @@ class Tokenizer:
             return [("Character", "</"), EOF_TOK]
         c = s[p]
         if c in _ALPHA:
-            m = RE_SIMPLE_TAG.match(s, p)
-            if m is not None:  # `</name>`: back to data state
-                q = m.end()
-                self.p = q
-                self.state = DATA
-                name = s[p : q - 1]
-                if not name.islower():
-                    name = name.translate(_LOWER)
-                return [("EndTag", name)]
             return self._scan_tag(p, False)
         if c == ">":
             self._err("missing-end-tag-name", p)

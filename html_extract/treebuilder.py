@@ -318,12 +318,15 @@ class TreeBuilder:
         return False
 
     def _el_in_scope(self, element, scope=DEFAULT_SCOPE):
-        for el in reversed(self.stack):
+        """Stack index of ``element`` when it is in scope, else -1."""
+        stack = self.stack
+        for i in range(len(stack) - 1, -1, -1):
+            el = stack[i]
             if el is element:
-                return True
+                return i
             if el.skey in scope:
-                return False
-        return False
+                return -1
+        return -1
 
     def _pop_until(self, target):
         """Pop up to and including the first HTML element named target
@@ -784,12 +787,12 @@ class TreeBuilder:
                 self._err("adoption-agency-1.3")
                 self.afe.remove(fmt_entry)
                 return False
-            if not self._el_in_scope(fmt):
+            fmt_idx = self._el_in_scope(fmt)
+            if fmt_idx < 0:
                 self._err("adoption-agency-1.3")
                 return False
             if fmt is not stack[-1]:
                 self._err("adoption-agency-1.3")
-            fmt_idx = stack.index(fmt)
             furthest = None
             fb_idx = -1
             for i in range(fmt_idx + 1, len(stack)):
@@ -1704,7 +1707,7 @@ class TreeBuilder:
             if not in_template:
                 node = self.form
                 self.form = None
-                if node is None or not self._el_in_scope(node):
+                if node is None or self._el_in_scope(node) < 0:
                     self._err("unexpected-end-tag")
                     return None
                 self._generate_implied()

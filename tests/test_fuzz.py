@@ -76,7 +76,8 @@ def test_bytes_input_never_crashes(raw):
 )
 def test_extract_actor_arrow_roundtrip(doc_specs):
     """ExtractActor must produce a valid Arrow batch for arbitrary doc
-    shapes (incl. empty span lists and unknown kinds)."""
+    shapes (incl. empty span lists and unknown kinds), and the span codec
+    must hold at its edges (``_assert_codec_edges``)."""
     import pyarrow as pa
 
     from html_extract.pipeline import SPAN_IN_T, ExtractActor
@@ -101,6 +102,54 @@ def test_extract_actor_arrow_roundtrip(doc_specs):
     for row in out["spans"].to_pylist():
         orders = [s["order"] for s in row]
         assert orders == list(range(len(orders)))
+    _assert_codec_edges(doc_specs, batch, out)
+
+
+def _sans_parse_ns(table):
+    rows = table.to_pylist()
+    for r in rows:
+        r["meta"].pop("parse_ns")
+    return rows
+
+
+def _assert_codec_edges(doc_specs, batch, out):
+    """The span codec's edge cases on one batch: declared types out of
+    the adapter (over the spans' text as documents) and ExtractActor, a
+    null spans row, a slice whose list offsets do not start at 0, and a
+    zero-row batch."""
+    import pyarrow as pa
+
+    from html_extract.pipeline import (
+        META_T, SPAN_IN_T, SPAN_OUT_T, ExtractActor, InterleaveAdapter,
+    )
+
+    docs = pa.table(
+        {
+            "doc_id": pa.array(range(len(doc_specs)), pa.int64()),
+            "text": ["".join(t for _, t, _ in spans) for spans in doc_specs],
+        }
+    )
+    for mode in ("rich", "plain"):
+        (adapted,) = InterleaveAdapter(mode=mode)(docs)
+        assert adapted.schema.field("spans").type == pa.list_(SPAN_IN_T)
+        assert adapted.num_rows == len(doc_specs)
+    assert out.schema.field("spans").type == pa.list_(SPAN_OUT_T)
+    assert out.schema.field("meta").type == META_T
+    whole = _sans_parse_ns(out)
+    # a null spans row fails alone; its neighbours are unchanged
+    spans = batch["spans"].combine_chunks()
+    nulled = pa.ListArray.from_arrays(
+        spans.offsets, spans.values, mask=pa.array([i == 0 for i in range(len(spans))])
+    )
+    got = _sans_parse_ns(ExtractActor()(batch.set_column(1, "spans", nulled)))
+    assert got[0]["ok"] is False and got[0]["spans"] == []
+    assert got[0]["meta"]["n_errors"] == -1
+    assert got[1:] == whole[1:]
+    # a slice of a larger table reads as the whole table's rows
+    for lo in range(1, batch.num_rows):
+        assert _sans_parse_ns(ExtractActor()(batch.slice(lo))) == whole[lo:]
+    empty = ExtractActor()(batch.slice(0, 0))
+    assert empty.num_rows == 0 and empty.schema == out.schema
 
 
 def test_div_spam_document_is_linear_time():
@@ -118,6 +167,25 @@ def test_div_spam_document_is_linear_time():
     assert meta["n_nodes"] == count_nodes(parse(monster).document) > 60000
     assert len(spans) > 1000
     assert dt < 20  # quadratic behavior would take minutes
+
+
+def test_adoption_agency_deep_stack_is_linear_time():
+    """An end tag for the top formatting element over thousands of open
+    divs: the adoption agency must take the element's stack index from
+    its scope check, not re-scan the stack from the bottom (quadratic
+    here: 56x the time for 8x the input on one 1-vCPU host)."""
+    import time
+
+    def best_of_3(d):
+        doc = "<b>" + "<div>" * d + "x<i></i>" * d
+        best = float("inf")
+        for _ in range(3):
+            t0 = time.perf_counter()
+            extract_spans(doc)
+            best = min(best, time.perf_counter() - t0)
+        return best
+
+    assert best_of_3(16000) < 20 * best_of_3(2000)
 
 
 def test_unclosed_formatting_spam_is_linear_time():

@@ -3,16 +3,19 @@
     python tools/ab_extract.py A_CHECKOUT B_CHECKOUT
 
 A_CHECKOUT is the baseline (say, a second checkout of the parent commit,
-made with ``git clone``), B_CHECKOUT the change.  Two jobs are timed:
+made with ``git clone``), B_CHECKOUT the change.  Three jobs are timed:
 
 - ``bigdoc``: ``extract_spans`` on one 4 MiB ``perfbench.inputs.big_page``
   as bytes (the bigdoc_parse workload's job);
 - ``corpus``: an in-process ``ExtractActor`` over 1000 documents of
   ``perfbench.inputs.documents`` in batches of 64 (the work of the
-  corpus_extract workload without Ray).
+  corpus_extract workload without Ray);
+- ``adapter``: each side's own ``InterleaveAdapter`` over those 1000
+  documents (the input side of the span codec).
 
 The inputs are built once, by this checkout in a child process, and
-read by both sides.
+read by both sides; ``corpus`` reads the documents as this checkout's
+adapter laid them out.
 Every measurement is a fresh process that imports ``html_extract`` from
 its checkout, freezes the heap (``gc.freeze()``), runs one untimed
 warm-up and then 3 timed jobs, each preceded by an untimed
@@ -22,7 +25,9 @@ job: each side's median over the rounds of its per-process median, the
 ratio A/B (> 1: B is faster), how many rounds B won, each side's median
 peak RSS (the worker process's ``ru_maxrss``: imports, inputs and the
 jobs, so for ``bigdoc`` mostly the page's DOM), and whether both sides
-produced the same spans and meta (``parse_ns`` aside).
+produced the same output: the same spans and meta (``parse_ns``
+aside), and for ``adapter`` whether the sub-tables match in schema and
+in rows.
 """
 
 import hashlib
@@ -43,7 +48,7 @@ REPS = 3  # timed jobs per process
 SEED = 42
 PAGE_BYTES = 4 << 20
 N_DOCS = 1000
-JOBS = ("bigdoc", "corpus")
+JOBS = ("bigdoc", "corpus", "adapter")
 
 
 def build_inputs(workdir):
@@ -57,6 +62,7 @@ def build_inputs(workdir):
     with open(os.path.join(workdir, "bigdoc.html"), "wb") as f:
         f.write(inputs.big_page(SEED, PAGE_BYTES))
     table = inputs.documents(SEED, N_DOCS).select(["doc_id", "text"])
+    pq.write_table(table, os.path.join(workdir, "documents.parquet"))
     corpus = pa.concat_tables(list(P.InterleaveAdapter()(table)))
     pq.write_table(corpus, os.path.join(workdir, "corpus.parquet"))
 
@@ -91,6 +97,18 @@ def worker(checkout, job, workdir):
             spans, meta = E.extract_spans(page)
             return [(spans, _sans_parse_ns(meta))]
 
+    elif job == "adapter":
+        import pyarrow.parquet as pq
+
+        from html_extract import pipeline as P
+
+        docs = pq.read_table(os.path.join(workdir, "documents.parquet"))
+        adapter = P.InterleaveAdapter()
+
+        def run():
+            parts = list(adapter(docs))
+            return [[t.schema.to_string() for t in parts], [t.to_pylist() for t in parts]]
+
     else:
         import pyarrow as pa
         import pyarrow.parquet as pq
@@ -111,7 +129,8 @@ def worker(checkout, job, workdir):
 
     gc.collect()
     gc.freeze()
-    digest = hashlib.md5(repr(run()).encode()).hexdigest()  # the warm-up
+    # the warm-up; one digest per item of the output
+    digest = [hashlib.md5(repr(item).encode()).hexdigest() for item in run()]
     times = []
     for _ in range(REPS):
         out = None  # the previous job's output is freed untimed
@@ -163,7 +182,13 @@ def main():
             a = statistics.median(medians["A"])
             b = statistics.median(medians["B"])
             wins = sum(tb < ta for ta, tb in zip(medians["A"], medians["B"]))
-            same = "same output" if digests["A"] == digests["B"] else "OUTPUTS DIFFER"
+            if job == "adapter":
+                same = ", ".join(
+                    f"{what} {'same' if a == b else 'DIFFER'}"
+                    for what, a, b in zip(("schema", "rows"), digests["A"], digests["B"])
+                )
+            else:
+                same = "same output" if digests["A"] == digests["B"] else "OUTPUTS DIFFER"
             rss_a = statistics.median(peaks["A"])
             rss_b = statistics.median(peaks["B"])
             print(f"{job}: A {a:.3f} s, B {b:.3f} s, A/B {a / b:.3f}, "
