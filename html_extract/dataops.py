@@ -30,7 +30,16 @@ Design rules applied throughout (see ray_guide / SURVEY.md §4):
   key partition (default: sum by ``keys``); no keys means one partition,
   run by a single task with no all-to-all,
 - deterministic hashes only (blake2/md5/crc32 — never PYTHONHASHSEED-
-  dependent builtins), so results are stable across machines.
+  dependent builtins), so results are stable across machines,
+- every rule that several queries share is one helper, so no copy can
+  drift from another: ``_read`` (the one Parquet read, with an optional
+  pushed-down filter), ``_head_embeddings`` and ``_query_vectors`` (the
+  bounded driver-side reads), ``_dimension`` + ``_lookup`` (broadcast
+  dimension join that drops orphan keys), ``_by_digest`` (md5 digest
+  groups), ``_term_counts`` and ``_stop_counts`` (per-document terms and
+  stopwords), ``_top_counts`` and ``_top_per_group`` (global and
+  per-group top-k), and ``_query_topk`` / ``_bucket_topk`` /
+  ``_rank_per_query`` (ANN candidates and their per-query rank).
 """
 
 import hashlib
@@ -41,6 +50,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
@@ -67,27 +77,59 @@ def _num_blocks(size: int) -> int | None:
     return max(4, min(_cpus(), 64), size // (16 << 20))
 
 
-def _read(sf_dir, name, columns) -> rd.Dataset:
-    """Column-pruned read with a block count scaled to the input size."""
-    path = _path(sf_dir, name)
+def _read(sf_dir, name, columns, filter=None) -> rd.Dataset:
+    """Column-pruned read of one corpus table (see ``_read_files``)."""
+    return _read_files([_path(sf_dir, name)], columns, filter)
+
+
+def _read_files(paths, columns, filter=None) -> rd.Dataset:
+    """The one Parquet read: column-pruned, with a metadata-free schema,
+    a block count scaled to the input size, and an optional ``filter``
+    expression pushed into the scan (rows outside it never leave
+    storage; its columns must be projected)."""
     return rd.read_parquet(
-        path,
+        paths,
         columns=columns,
-        schema=_clean_schema(path, columns),
-        override_num_blocks=_num_blocks(os.path.getsize(path)),
+        filter=filter,
+        schema=_clean_schema(paths[0], columns),
+        override_num_blocks=_num_blocks(sum(os.path.getsize(p) for p in paths)),
     )
 
 
-def _clean_schema(path, columns=None):
+def _head_embeddings(sf_dir, n) -> np.ndarray:
+    """The first ``n`` embeddings in file order as an (n, d) float64
+    matrix, streamed from the first row group(s): the driver holds about
+    ``n`` rows whatever the table's size."""
+    batches, got = [], 0
+    pf = pq.ParquetFile(_path(sf_dir, "embeddings"))
+    for rb in pf.iter_batches(batch_size=min(n, 65536), columns=["embedding"]):
+        batches.append(rb.column(0))
+        got += rb.num_rows
+        if got >= n:
+            break
+    if not batches:
+        return np.empty((0, 0), dtype=np.float64)
+    return _stack_embeddings(pa.chunked_array(batches).slice(0, n))
+
+
+def _query_vectors(sf_dir, n_queries):
+    """(ids, row-normalized vectors) of the ANN queries ``vec_id <
+    n_queries``, in id order: a predicate-pushdown read (row-group
+    pruning), never the whole embedding table on the driver."""
+    t = pq.read_table(
+        _path(sf_dir, "embeddings"),
+        columns=["vec_id", "embedding"],
+        filters=[("vec_id", "<", n_queries)],
+    ).sort_by("vec_id")
+    return t["vec_id"].to_numpy(), _normalize_rows(_stack_embeddings(t["embedding"]))
+
+
+def _clean_schema(path, columns):
     """Parquet schema minus file metadata.  pandas-written files carry a
     b'pandas' schema-metadata dict that makes Arrow schemas UNHASHABLE,
     so every Ray schema-unification logs "Failed to hash the schemas";
     reading with an explicit metadata-free schema keeps blocks clean."""
-    import pyarrow.parquet as pq
-
     sch = pq.read_schema(path).remove_metadata()
-    if columns is None:
-        return sch
     return pa.schema([sch.field(c) for c in columns])
 
 
@@ -448,23 +490,27 @@ def langid(sf_dir) -> rd.Dataset:
     return ds.map_batches(_langid_batch, batch_format="pandas", batch_size=1024)
 
 
+def _stop_counts(toks: pd.Series) -> pd.Series:
+    """English stopword occurrences per row of whitespace-split token
+    lists (``str.split()`` semantics), vectorized: explode -> isin ->
+    sum per row; no per-row loop."""
+    return (
+        toks.explode()
+        .isin(_STOPWORDS["en"])
+        .groupby(level=0)
+        .sum()
+        .reindex(toks.index, fill_value=0)
+        .astype("int64")
+    )
+
+
 def stopword_counts(sf_dir) -> rd.Dataset:
     """English stopword occurrences per document (quality-signal core)."""
-    stops = _STOPWORDS["en"]
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
     def f(df: pd.DataFrame) -> pd.DataFrame:
-        # vectorized: whitespace-split -> explode -> isin -> sum per row
-        # (identical token semantics to str.split(); no per-row loop)
-        toks = df["text"].str.split().explode()
-        n = (
-            toks.isin(stops)
-            .groupby(level=0)
-            .sum()
-            .reindex(df.index, fill_value=0)
-        )
         return pd.DataFrame(
-            {"doc_id": df["doc_id"], "n_stop": n.astype("int64")}
+            {"doc_id": df["doc_id"], "n_stop": _stop_counts(df["text"].str.split())}
         )
 
     return ds.map_batches(f, batch_format="pandas")
@@ -488,9 +534,7 @@ def top_users_by_events(sf_dir, k: int = 10) -> pd.DataFrame:
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         return df.groupby("user_id", as_index=False).agg(n=("user_id", "size"))
 
-    agg = _aggregate(ds, ["user_id"], partial=partial).to_pandas()
-    agg = agg.sort_values(["n", "user_id"], ascending=[False, True], ignore_index=True)
-    return agg.head(k).astype({"n": "int64"})
+    return _top_counts(ds, partial, "user_id", k)
 
 
 def sampled_docs(sf_dir, fraction=0.1, seed=7) -> rd.Dataset:
@@ -576,6 +620,31 @@ def _top_counts(ds, partial, key: str, k: int) -> pd.DataFrame:
     return agg.sort_values(**order, ignore_index=True).head(k).astype({"n": "int64"})
 
 
+def _top_per_group(ds, keys, by, ascending, k, columns, prep=None) -> rd.Dataset:
+    """The per-group top-k: per ``keys`` group (no keys: one group) its
+    first ``k`` rows in ``by`` order, as ``keys + columns`` and a 1-based
+    int64 ``rank``; ``by`` must end in a unique column, so the cut is
+    deterministic.  Each batch (after ``prep``) first cuts itself to its
+    own per-group top-k, so the shuffle moves at most P·k rows per
+    group; the keyed combine then ranks the survivors."""
+    order = dict(
+        by=keys + by, ascending=[True] * len(keys) + ascending, kind="mergesort"
+    )
+
+    def groups(df: pd.DataFrame):
+        return df.groupby(keys or np.zeros(len(df), np.int8), sort=False)
+
+    def cut(df: pd.DataFrame) -> pd.DataFrame:
+        return groups(df.sort_values(**order)).head(k)
+
+    def combine(g: pd.DataFrame) -> pd.DataFrame:
+        top = cut(g)
+        rank = (groups(top).cumcount() + 1).astype("int64")
+        return top[keys + columns].assign(rank=rank)
+
+    return _aggregate(ds, keys, combine, lambda df: cut(prep(df) if prep else df))
+
+
 def normalized_text(sf_dir) -> rd.Dataset:
     """Unicode NFC + whitespace-collapse + trim per document — the
     canonical text-cleaning stage before tokenization/dedup."""
@@ -619,30 +688,30 @@ def doc_fingerprints(sf_dir) -> rd.Dataset:
 # dedup
 
 
+def _by_digest(t: pa.Table, **agg) -> pa.Table:
+    """One row per distinct text of a batch: the RAW 16-byte md5 digest
+    ``h`` of the text (binary, half the bytes of the hex form; the text
+    itself never shuffles) and the named aggregations ``agg`` over the
+    batch's other columns, as int64."""
+    df = pd.DataFrame({c: t[c].to_numpy() for c in t.column_names if c != "text"})
+    df["h"] = [hashlib.md5(s.encode("utf-8")).digest() for s in t["text"].to_pylist()]
+    g = df.groupby("h", as_index=False, sort=False).agg(**agg)
+    return pa.table(
+        {"h": pa.array(list(g["h"]), pa.binary(16))}
+        | {c: pa.array(g[c].to_numpy(np.int64)) for c in agg}
+    )
+
+
 def exact_dedup(sf_dir) -> rd.Dataset:
     """Exact dedup: hash-partition on content hash, keep min doc_id.
 
-    Scale shape: the shuffle key is the RAW 16-byte md5 digest (binary,
-    half the bytes of the hex form), never the text; per-batch partial
-    shrink first; the combine runs once per key-hash PARTITION, so no
-    worker ever holds the full distinct-hash set."""
+    Scale shape: the shuffle key is the md5 digest (``_by_digest``);
+    per-batch partial shrink first; the combine runs once per key-hash
+    PARTITION, so no worker ever holds the full distinct-hash set."""
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
     def partial(t: pa.Table) -> pa.Table:
-        digests = [
-            hashlib.md5(s.encode("utf-8")).digest()
-            for s in t["text"].to_pylist()
-        ]
-        df = pd.DataFrame({"doc_id": t["doc_id"].to_numpy(), "h": digests})
-        g = df.groupby("h", as_index=False, sort=False).agg(
-            doc_id=("doc_id", "min")
-        )
-        return pa.table(
-            {
-                "h": pa.array(list(g["h"]), pa.binary(16)),
-                "doc_id": pa.array(g["doc_id"].to_numpy(), pa.int64()),
-            }
-        )
+        return _by_digest(t, doc_id=("doc_id", "min"))
 
     def combine(part, t):
         if t is None:  # empty corpus: a typed empty result
@@ -1317,11 +1386,54 @@ def embedding_near_dups(sf_dir, threshold_pct=95, n_planes=6, n_tables=8) -> rd.
     return _aggregate(partials, ["a", "b"], lambda df: df.drop_duplicates(["a", "b"]))
 
 
+def _no_neighbors(last: str) -> pd.DataFrame:
+    """The typed empty (query_id, neighbor_id, ``last``) frame: ``sim``
+    (float64) for candidates, ``rank`` (int64) for results."""
+    cols = {"query_id": "int64", "neighbor_id": "int64"}
+    cols[last] = "float64" if last == "sim" else "int64"
+    return pd.DataFrame({c: pd.Series(dtype=t) for c, t in cols.items()})
+
+
+def _query_topk(ids, q_ids, sims, k) -> pd.DataFrame:
+    """Each query's ``k`` best rows as (query_id, neighbor_id, sim)
+    candidates, ties to the smaller id; ``sims`` is (rows, queries)."""
+    frames = []
+    for col, qid in enumerate(q_ids):
+        s = sims[:, col]
+        order = np.lexsort((ids, -s))[:k]
+        frames.append(
+            pd.DataFrame(
+                {
+                    "query_id": np.full(len(order), qid),
+                    "neighbor_id": ids[order],
+                    "sim": s[order],
+                }
+            )
+        )
+    return pd.concat(frames, ignore_index=True) if frames else _no_neighbors("sim")
+
+
+def _bucket_topk(g: pd.DataFrame, bucket: str, k: int, search) -> pd.DataFrame:
+    """``_query_topk`` candidates of every ``bucket`` group of (vec_id,
+    embedding) rows.  ``search(bucket_id, ids, rows)`` gives the ids of
+    the queries that search the bucket and their (rows, queries) cosine
+    sims, or None when no query does.  Each path keeps its own sims
+    product: a matrix-vector and a matrix-matrix product may round
+    differently, and ranks follow the last bit."""
+    frames = []
+    for b, sub in g.groupby(bucket, sort=False):
+        ids = sub["vec_id"].to_numpy()
+        hit = search(b, ids, sub)
+        if hit is not None:
+            frames.append(_query_topk(ids, *hit, k))
+    return pd.concat(frames, ignore_index=True) if frames else _no_neighbors("sim")
+
+
 def _rank_per_query(partial: rd.Dataset, k: int) -> pd.DataFrame:
     """Per-query top-k from (query_id, neighbor_id, sim) candidates that
-    several buckets or lists may repeat: dedupe + rank per query-hash
-    partition (ties to the smaller neighbor id); the driver only sorts
-    the final rows."""
+    several batches, buckets or lists may repeat: dedupe + rank per
+    query-hash partition (ties to the smaller neighbor id); the driver
+    only sorts the final rows."""
 
     def merge_query(df: pd.DataFrame) -> pd.DataFrame:
         df = df.drop_duplicates(["query_id", "neighbor_id"])
@@ -1336,9 +1448,7 @@ def _rank_per_query(partial: rd.Dataset, k: int) -> pd.DataFrame:
 
     res = _aggregate(partial, ["query_id"], merge_query).to_pandas()
     if len(res) == 0:
-        return pd.DataFrame(
-            {c: pd.Series(dtype="int64") for c in ("query_id", "neighbor_id", "rank")}
-        )
+        return _no_neighbors("rank")
     return res.sort_values(["query_id", "rank"], ignore_index=True).astype("int64")
 
 
@@ -1354,38 +1464,17 @@ def ann_topk_lsh(sf_dir, n_queries=5, k=10, n_planes=6, n_tables=4) -> pd.DataFr
     judged by recall vs the brute-force baseline (see tests)."""
     coded = _hyperplane_coded(sf_dir, 0xA11CE0, n_planes, n_tables, 4096)
 
-    _empty = {
-        "query_id": pd.Series(dtype="int64"),
-        "neighbor_id": pd.Series(dtype="int64"),
-        "sim": pd.Series(dtype="float64"),
-    }
+    def search(bucket, ids, sub):
+        # the queries are the bucket's own rows with vec_id < n_queries
+        qpos = np.flatnonzero(ids < n_queries)
+        if not qpos.size:
+            return None
+        Mn = _normalize_rows(_stack_embeddings(sub["embedding"]))
+        return ids[qpos], np.column_stack([Mn @ Mn[p] for p in qpos])
 
-    def bucket_topk(g: pd.DataFrame) -> pd.DataFrame:
-        frames = []
-        for _, sub in g.groupby("bucket", sort=False):
-            ids = sub["vec_id"].to_numpy()
-            qmask = ids < n_queries
-            if not qmask.any():
-                continue
-            Mn = _normalize_rows(_stack_embeddings(sub["embedding"]))
-            for qpos in np.flatnonzero(qmask):
-                sims = Mn @ Mn[qpos]
-                order = np.lexsort((ids, -sims))[:k]
-                frames.append(
-                    pd.DataFrame(
-                        {
-                            "query_id": np.full(len(order), ids[qpos]),
-                            "neighbor_id": ids[order],
-                            "sim": sims[order],
-                        }
-                    )
-                )
-        if not frames:
-            return pd.DataFrame(_empty)
-        return pd.concat(frames, ignore_index=True)
-
-    partial = _aggregate(coded, ["bucket"], bucket_topk)
-
+    partial = _aggregate(
+        coded, ["bucket"], lambda g: _bucket_topk(g, "bucket", k, search)
+    )
     return _rank_per_query(partial, k)
 
 
@@ -1395,51 +1484,18 @@ def ann_topk_lsh(sf_dir, n_queries=5, k=10, n_planes=6, n_tables=4) -> pd.DataFr
 
 def ann_topk(sf_dir, n_queries=5, k=10) -> pd.DataFrame:
     """Brute-force cosine top-k: broadcast the query matrix once, partial
-    top-k per batch, tiny driver-side merge.  IVF/LSH is the 100 TB
-    path; the batch kernel is the same."""
-    import pyarrow.parquet as pq
+    top-k per batch, then the per-query rank of the ANN paths.  IVF/LSH
+    is the 100 TB path; the candidate kernel is the same."""
+    q_ref = ray.put(_query_vectors(sf_dir, n_queries))
 
-    # predicate-pushdown read of JUST the query vectors (row-group
-    # pruning) — never the whole embedding table on the driver
-    qdf = (
-        pq.read_table(
-            _path(sf_dir, "embeddings"),
-            columns=["vec_id", "embedding"],
-            filters=[("vec_id", "<", n_queries)],
-        )
-        .to_pandas()
-        .sort_values("vec_id")
-    )
-    Q = np.stack(qdf["embedding"].to_numpy()).astype(np.float64)
-    Qn = Q / np.linalg.norm(Q, axis=1, keepdims=True)
-    q_ids = qdf["vec_id"].to_numpy()
-    q_ref = ray.put((q_ids, Qn))
-
-    def score(t: pa.Table) -> pa.Table:
+    def score(t: pa.Table) -> pd.DataFrame:
         q_ids, Qn = ray.get(q_ref)
-        vec_ids = t["vec_id"].to_numpy(zero_copy_only=False)
-        M = np.stack(t["embedding"].to_pandas().to_numpy()).astype(np.float64)
-        Mn = M / np.linalg.norm(M, axis=1, keepdims=True)
-        sims = Mn @ Qn.T  # (batch, n_queries)
-        rows = {"query_id": [], "neighbor_id": [], "score": []}
-        top = min(k, len(vec_ids))
-        for qi, qid in enumerate(q_ids):
-            col = sims[:, qi]
-            part = np.argpartition(-col, top - 1)[:top]
-            for r in part:
-                rows["query_id"].append(int(qid))
-                rows["neighbor_id"].append(int(vec_ids[r]))
-                rows["score"].append(float(col[r]))
-        return pa.table(rows)
+        Mn = _normalize_rows(_stack_embeddings(t["embedding"]))
+        return _query_topk(t["vec_id"].to_numpy(), q_ids, Mn @ Qn.T, k)
 
     ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    partial = ds.map_batches(score, batch_format="pyarrow", batch_size=4096).to_pandas()
-    partial = partial.sort_values(
-        ["query_id", "score", "neighbor_id"], ascending=[True, False, True]
-    )
-    topk = partial.groupby("query_id", sort=True).head(k).reset_index(drop=True)
-    topk["rank"] = topk.groupby("query_id").cumcount() + 1
-    return topk[["query_id", "neighbor_id", "rank"]].astype("int64")
+    partial = ds.map_batches(score, batch_format="pyarrow", batch_size=4096)
+    return _rank_per_query(partial, k)
 
 
 # ---------------------------------------------------------------------------
@@ -1492,38 +1548,42 @@ def user_sessions(sf_dir, gap_minutes=30) -> rd.Dataset:
 # broadcast join
 
 
+def _dimension(sf_dir, name, key, value):
+    """A small dimension table as (sorted keys, their values) arrays,
+    read on the driver and broadcast once with ray.put for ``_lookup``."""
+    df = pd.read_parquet(_path(sf_dir, name), columns=[key, value])
+    order = np.argsort(df[key].to_numpy(), kind="stable")
+    return df[key].to_numpy()[order], df[value].to_numpy()[order]
+
+
+def _lookup(dim, probe: np.ndarray):
+    """Inner-join probe of a ``_dimension``: (mask of the ``probe`` keys
+    it holds, their values).  A key absent from the dimension is
+    DROPPED, never mapped to the nearest key by the searchsorted (orphan
+    fact rows must not corrupt a group at scale)."""
+    keys, vals = dim
+    idx = np.searchsorted(keys, probe)
+    valid = (idx < len(keys)) & (keys[np.minimum(idx, len(keys) - 1)] == probe)
+    return valid, vals[idx[valid]]
+
+
 def orders_by_nation(sf_dir) -> rd.Dataset:
     """Order counts per nation: broadcast customer->nation lookup
     (ray.put once), no shuffle join; then a 25-row groupby."""
-    cust = pd.read_parquet(
-        _path(sf_dir, "customer"), columns=["c_custkey", "c_nationkey"]
-    )
-    nation = pd.read_parquet(
-        _path(sf_dir, "nation"), columns=["n_nationkey", "n_name"]
-    )
-    nk = cust.set_index("c_custkey")["c_nationkey"].sort_index()
     lookup_ref = ray.put(
         (
-            nk.index.to_numpy(),
-            nk.to_numpy(),
-            nation.set_index("n_nationkey")["n_name"].to_dict(),
+            _dimension(sf_dir, "customer", "c_custkey", "c_nationkey"),
+            _dimension(sf_dir, "nation", "n_nationkey", "n_name"),
         )
     )
 
     def join_count(t: pa.Table) -> pa.Table:
-        keys, vals, names = ray.get(lookup_ref)
-        ck = t["o_custkey"].to_numpy(zero_copy_only=False)
-        idx = np.searchsorted(keys, ck)
-        # inner-join semantics: an o_custkey absent from customer is
-        # DROPPED, never silently mapped to the nearest key (orphan
-        # fact rows must not corrupt a nation bucket at scale)
-        valid = (idx < len(keys)) & (keys[np.minimum(idx, len(keys) - 1)] == ck)
-        uniq, counts = np.unique(vals[idx[valid]], return_counts=True)
+        cust, nation = ray.get(lookup_ref)
+        _, nk = _lookup(cust, t["o_custkey"].to_numpy(zero_copy_only=False))
+        uniq, counts = np.unique(nk, return_counts=True)
+        valid, names = _lookup(nation, uniq)
         return pa.table(
-            {
-                "n_name": [names[int(u)] for u in uniq],
-                "n_orders": counts.astype("int64"),
-            }
+            {"n_name": list(names), "n_orders": counts[valid].astype("int64")}
         )
 
     ds = _read(sf_dir, "orders", ["o_custkey"])
@@ -1542,28 +1602,13 @@ def filtered_corpus(
     row groups outside the range are skipped), and the stopword ratio
     is one vectorized split/explode/isin pass per batch.  Integer
     ratio math keeps the SQL oracle exact."""
-    stops = _STOPWORDS["en"]
-    path = _path(sf_dir, "documents")
-    cols = ["doc_id", "text", "n_chars"]  # filter column must be projected
     flt = (pc.field("n_chars") >= min_chars) & (pc.field("n_chars") <= max_chars)
-    ds = rd.read_parquet(
-        path,
-        columns=cols,
-        filter=flt,
-        schema=_clean_schema(path, cols),
-    )
+    ds = _read(sf_dir, "documents", ["doc_id", "text", "n_chars"], flt)
 
     def f(df: pd.DataFrame) -> pd.DataFrame:
         toks = df["text"].str.split()
         n_words = toks.str.len().fillna(0).astype("int64")
-        n_stop = (
-            toks.explode()
-            .isin(stops)
-            .groupby(level=0)
-            .sum()
-            .reindex(df.index, fill_value=0)
-            .astype("int64")
-        )
+        n_stop = _stop_counts(toks)
         # zero-word docs are excluded explicitly: the DuckDB oracle's
         # regexp_split_to_array(trim(text)) yields [''] (1 token) for
         # empty/whitespace-only text and so drops them; Python split()
@@ -1579,19 +1624,14 @@ def top_parts_by_quantity(sf_dir, k: int = 10) -> pd.DataFrame:
     fact-to-dimension broadcast join (part is the small side, shipped
     once with ray.put; lineitem streams through a partial-aggregate
     map — no shuffle join), then a tiny combine + top-k."""
-    part = pd.read_parquet(_path(sf_dir, "part"), columns=["p_partkey", "p_name"])
-    pk = part.set_index("p_partkey")["p_name"].sort_index()
-    lookup_ref = ray.put((pk.index.to_numpy(), pk.to_numpy()))
+    lookup_ref = ray.put(_dimension(sf_dir, "part", "p_partkey", "p_name"))
 
     def join_sum(t: pa.Table) -> pa.Table:
-        keys, names = ray.get(lookup_ref)
-        lp = t["l_partkey"].to_numpy(zero_copy_only=False)
         qty = t["l_quantity"].to_numpy(zero_copy_only=False)
-        idx = np.searchsorted(keys, lp)
-        # inner-join semantics: drop l_partkey values absent from part
-        # rather than attributing quantity to the nearest part name
-        valid = (idx < len(keys)) & (keys[np.minimum(idx, len(keys) - 1)] == lp)
-        df = pd.DataFrame({"p_name": names[idx[valid]], "q": qty[valid]})
+        valid, names = _lookup(
+            ray.get(lookup_ref), t["l_partkey"].to_numpy(zero_copy_only=False)
+        )
+        df = pd.DataFrame({"p_name": names, "q": qty[valid]})
         g = df.groupby("p_name", as_index=False, sort=False).agg(q=("q", "sum"))
         return pa.table(
             {
@@ -1621,18 +1661,7 @@ def dup_group_histogram(sf_dir) -> rd.Dataset:
     ds = _read(sf_dir, "documents", ["text"])
 
     def partial(t: pa.Table) -> pa.Table:
-        digests = [
-            hashlib.md5(s.encode("utf-8")).digest()
-            for s in t["text"].to_pylist()
-        ]
-        df = pd.DataFrame({"h": digests})
-        g = df.groupby("h", as_index=False, sort=False).size()
-        return pa.table(
-            {
-                "h": pa.array(list(g["h"]), pa.binary(16)),
-                "n": pa.array(g["size"].astype("int64"), pa.int64()),
-            }
-        )
+        return _by_digest(t, n=("h", "size"))
 
     def combine(g: pd.DataFrame) -> pd.DataFrame:
         sizes = g.groupby("h", as_index=False).agg(n=("n", "sum"))["n"]
@@ -1657,30 +1686,24 @@ def contamination_check(sf_dir, n_probes: int = 16, ngram: int = 8) -> rd.Datase
     np.isin — map-only, no shuffle, no driver collection.  Probes
     default to n-grams sampled from a bounded HEAD read of the corpus
     itself (deterministic; the probe docs must flag themselves, which
-    doubles as the built-in self-test)."""
-    import pyarrow.parquet as pq
-
-    pf = pq.ParquetFile(_path(sf_dir, "documents"))
+    doubles as the built-in self-test).  The head is the documents with
+    the smallest doc_ids, whatever the file order (``_top_per_group``):
+    the driver holds only the head's texts."""
+    ds = _read(sf_dir, "documents", ["doc_id", "text"])
+    n_head = max(n_probes * 4, 64)
+    head = _top_per_group(ds, [], ["doc_id"], [True], n_head, ["text"]).to_pandas()
+    texts = head.sort_values("rank")["text"] if len(head) else []  # empty corpus
+    probes = []
+    for t in texts:
+        toks = t.split()
+        if len(toks) >= ngram:
+            mid = max(0, (len(toks) - ngram) // 2)
+            probes.append(" ".join(toks[mid : mid + ngram]))
+        if len(probes) >= n_probes:
+            break
     probe_hashes = np.empty(0, np.uint64)
-    if pf.metadata.num_rows:
-        head = next(
-            pf.iter_batches(batch_size=max(n_probes * 4, 64), columns=["text"])
-        )
-        texts = head.column("text").to_pylist()
-        probes = []
-        for t in texts:
-            toks = t.split()
-            if len(toks) >= ngram:
-                mid = max(0, (len(toks) - ngram) // 2)
-                probes.append(" ".join(toks[mid : mid + ngram]))
-            if len(probes) >= n_probes:
-                break
-        if probes:
-            probe_hashes = np.unique(
-                np.concatenate(
-                    [a for a in _batch_shingle_hashes(probes, k=ngram)]
-                )
-            )
+    if probes:
+        probe_hashes = np.unique(np.concatenate(_batch_shingle_hashes(probes, k=ngram)))
     probes_ref = ray.put(probe_hashes)
 
     def scan(t: pa.Table) -> pa.Table:
@@ -1697,7 +1720,6 @@ def contamination_check(sf_dir, n_probes: int = 16, ngram: int = 8) -> rd.Datase
             }
         )
 
-    ds = _read(sf_dir, "documents", ["doc_id", "text"])
     return ds.map_batches(scan, batch_format="pyarrow", batch_size=1024)
 
 
@@ -1864,34 +1886,15 @@ def ann_topk_ivf(sf_dir, n_queries=5, k=10, n_lists=16, n_probe=4) -> pd.DataFra
     queries probing it; a final keyed combine per query merges.  At
     10^12 scale the sample/centroid step runs on a fixed-size sample
     and everything else is the same map + one shuffle."""
-    import pyarrow.parquet as pq
-
     # deterministic centroids: k-means-free coarse quantizer — evenly
-    # strided rows from a FIXED-SIZE head sample (streamed from the
-    # first row group(s) only; the driver never holds more than
-    # ``sample_cap`` rows regardless of table size), normalized
-    # (stable across runs/machines)
-    pf = pq.ParquetFile(_path(sf_dir, "embeddings"))
-    if pf.metadata.num_rows == 0:
-        return pd.DataFrame(
-            {c: pd.Series(dtype="int64") for c in ("query_id", "neighbor_id", "rank")}
-        )
-    sample_cap = max(4096, n_lists * 256)
-    got, chunks = 0, []
-    for rb in pf.iter_batches(
-        batch_size=min(sample_cap, 65536), columns=["embedding"]
-    ):
-        chunks.append(rb)
-        got += rb.num_rows
-        if got >= sample_cap:
-            break
-    head = pa.Table.from_batches(chunks).slice(0, sample_cap)
-    stride = max(1, head.num_rows // n_lists)
-    sample_idx = list(range(0, head.num_rows, stride))[:n_lists]
-    C = _normalize_rows(
-        _stack_embeddings(head.column("embedding").take(sample_idx))
-    )
-    del head, chunks
+    # strided rows from a FIXED-SIZE head sample, normalized (stable
+    # across runs/machines)
+    head = _head_embeddings(sf_dir, max(4096, n_lists * 256))
+    if head.shape[0] == 0:
+        return _no_neighbors("rank")
+    stride = max(1, head.shape[0] // n_lists)
+    C = _normalize_rows(head[::stride][:n_lists])
+    del head
     c_ref = ray.put(C)
 
     ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
@@ -1913,13 +1916,7 @@ def ann_topk_ivf(sf_dir, n_queries=5, k=10, n_lists=16, n_probe=4) -> pd.DataFra
 
     # queries probe their n_probe nearest lists (driver computes the tiny
     # query->lists map from the broadcast centroids)
-    qtbl = pq.read_table(
-        _path(sf_dir, "embeddings"),
-        columns=["vec_id", "embedding"],
-        filters=[("vec_id", "<", n_queries)],
-    )
-    Qn = _normalize_rows(_stack_embeddings(qtbl.column("embedding")))
-    q_ids = np.asarray(qtbl.column("vec_id").to_pylist())
+    q_ids, Qn = _query_vectors(sf_dir, n_queries)
     probe = np.argsort(-(Qn @ C.T), axis=1, kind="stable")[:, :n_probe]
     probe_map = {}  # list_id -> [query row positions]
     for qi, lists in enumerate(probe):
@@ -1927,40 +1924,17 @@ def ann_topk_ivf(sf_dir, n_queries=5, k=10, n_lists=16, n_probe=4) -> pd.DataFra
             probe_map.setdefault(int(li), []).append(qi)
     pm_ref = ray.put((q_ids, Qn, probe_map))
 
-    _empty = {
-        "query_id": pd.Series(dtype="int64"),
-        "neighbor_id": pd.Series(dtype="int64"),
-        "sim": pd.Series(dtype="float64"),
-    }
+    def search(li, ids, sub):
+        q_ids, Qn, pm = ray.get(pm_ref)
+        probers = pm.get(int(li))
+        if not probers:
+            return None
+        Mn = _normalize_rows(_stack_embeddings(sub["embedding"]))
+        return q_ids[probers], Mn @ Qn[probers].T
 
-    def list_topk(g: pd.DataFrame) -> pd.DataFrame:
-        q_ids_, Qn_, pm = ray.get(pm_ref)
-        frames = []
-        for li, sub in g.groupby("list_id", sort=False):
-            probers = pm.get(int(li))
-            if not probers:
-                continue
-            ids = sub["vec_id"].to_numpy()
-            Mn = _normalize_rows(_stack_embeddings(sub["embedding"]))
-            sims_all = Mn @ Qn_[probers].T  # (m, n_probers)
-            for col, qi in enumerate(probers):
-                sims = sims_all[:, col]
-                order = np.lexsort((ids, -sims))[:k]
-                frames.append(
-                    pd.DataFrame(
-                        {
-                            "query_id": np.full(len(order), q_ids_[qi]),
-                            "neighbor_id": ids[order],
-                            "sim": sims[order],
-                        }
-                    )
-                )
-        if not frames:
-            return pd.DataFrame(_empty)
-        return pd.concat(frames, ignore_index=True)
-
-    partial = _aggregate(assigned, ["list_id"], list_topk)
-
+    partial = _aggregate(
+        assigned, ["list_id"], lambda g: _bucket_topk(g, "list_id", k, search)
+    )
     return _rank_per_query(partial, k)
 
 
@@ -2134,24 +2108,9 @@ def top_docs_per_lang(sf_dir, k: int = 5) -> rd.Dataset:
     n_chars break to the smaller doc_id, matching the row_number()
     oracle deterministically."""
     ds = _read(sf_dir, "documents", ["doc_id", "lang", "n_chars"])
-    order = dict(
-        by=["lang", "n_chars", "doc_id"],
-        ascending=[True, False, True],
-        kind="mergesort",
+    return _top_per_group(
+        ds, ["lang"], ["n_chars", "doc_id"], [False, True], k, ["doc_id", "n_chars"]
     )
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        return df.sort_values(**order).groupby("lang", sort=False).head(k)
-
-    def combine(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(**order)
-        top = g.groupby("lang", sort=False).head(k).copy()
-        top["rank"] = (top.groupby("lang", sort=False).cumcount() + 1).astype(
-            "int64"
-        )
-        return top[["lang", "doc_id", "n_chars", "rank"]]
-
-    return _aggregate(ds, ["lang"], combine, partial)
 
 
 def top_bigrams(sf_dir, k: int = 50) -> pd.DataFrame:
@@ -2271,6 +2230,16 @@ def props_key_stats(sf_dir) -> rd.Dataset:
     return _aggregate(ds, ["event_type"], combine, partial)
 
 
+def _term_counts(df: pd.DataFrame) -> pd.DataFrame:
+    """(doc_id, term, tf) per batch of documents: exact per-document
+    counts of the ``\\S+`` terms (a document never spans batches)."""
+    ex = df.set_index("doc_id")["text"].str.findall(r"\S+").explode().dropna()
+    g = ex.groupby([ex.index, ex.to_numpy()]).size().rename("tf").reset_index()
+    g.columns = ["doc_id", "term", "tf"]
+    g["tf"] = g["tf"].astype("int64")
+    return g
+
+
 def tfidf_top_terms(sf_dir) -> rd.Dataset:
     """Per-document most-distinctive term by tf-idf
     (``tf * ln(N / df)``, ties to the lexicographically smallest
@@ -2284,24 +2253,9 @@ def tfidf_top_terms(sf_dir) -> rd.Dataset:
     and the final per-doc argmax is one more keyed pass by doc hash.
     Scores round to 6 decimals on both sides of the oracle so the
     float ranking is reproducible across engines."""
-    import pyarrow.parquet as pq
-
     n_docs = pq.ParquetFile(_path(sf_dir, "documents")).metadata.num_rows
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-
-    def tf_partial(df: pd.DataFrame) -> pd.DataFrame:
-        ex = df.set_index("doc_id")["text"].str.findall(r"\S+").explode().dropna()
-        g = (
-            ex.groupby([ex.index, ex.to_numpy()])
-            .size()
-            .rename("tf")
-            .reset_index()
-        )
-        g.columns = ["doc_id", "term", "tf"]
-        g["tf"] = g["tf"].astype("int64")
-        return g
-
-    tf = ds.map_batches(tf_partial, batch_format="pandas")
+    tf = ds.map_batches(_term_counts, batch_format="pandas")
 
     def attach_df(g: pd.DataFrame) -> pd.DataFrame:
         # all rows of a term are co-located: df = distinct docs here
@@ -2370,34 +2324,16 @@ def quota_sample_per_source(sf_dir, k: int = 20) -> rd.Dataset:
     Scale shape is the per-group top-k pattern (`top_docs_per_lang`):
     each batch cuts itself to its own k-per-source first, so the
     shuffle moves at most P*k rows per source."""
-    import hashlib
-
     ds = _read(sf_dir, "documents", ["doc_id", "source"])
 
     def with_hash(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["_h"] = [
-            hashlib.md5(str(i).encode()).hexdigest() for i in df["doc_id"]
-        ]
-        return df
+        return df.assign(
+            _h=[hashlib.md5(str(i).encode()).hexdigest() for i in df["doc_id"]]
+        )
 
-    order = dict(
-        by=["source", "_h", "doc_id"], ascending=True, kind="mergesort"
+    return _top_per_group(
+        ds, ["source"], ["_h", "doc_id"], [True, True], k, ["doc_id"], with_hash
     )
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        df = with_hash(df)
-        return df.sort_values(**order).groupby("source", sort=False).head(k)
-
-    def combine(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(**order)
-        top = g.groupby("source", sort=False).head(k).copy()
-        top["rank"] = (
-            top.groupby("source", sort=False).cumcount() + 1
-        ).astype("int64")
-        return top[["source", "doc_id", "rank"]]
-
-    return _aggregate(ds, ["source"], combine, partial)
 
 
 def kmeans_clusters(sf_dir, k: int = 8, n_iter: int = 8) -> rd.Dataset:
@@ -2416,24 +2352,16 @@ def kmeans_clusters(sf_dir, k: int = 8, n_iter: int = 8) -> rd.Dataset:
     driver materialization.  Non-SQL (iterative) -> rows-only check;
     the pytest twin is a single-frame numpy Lloyd with the same init
     and tie-break (np.argmin -> lowest cluster id)."""
-    import pyarrow.parquet as pq
-
-    pf = pq.ParquetFile(_path(sf_dir, "embeddings"))
-    if pf.metadata.num_rows == 0:
+    # deterministic init: the first k vectors by file order
+    C = _head_embeddings(sf_dir, k)
+    k_eff = C.shape[0]
+    if k_eff == 0:
         return rd.from_arrow(
             pa.table(
                 {"vec_id": pa.array([], pa.int64()),
                  "cluster": pa.array([], pa.int64())}
             )
         )
-    # deterministic init: the first k vectors by file order (bounded
-    # head read; the driver never holds more than k rows here)
-    first = next(pf.iter_batches(batch_size=max(k, 16),
-                                 columns=["embedding"]))
-    C = _stack_embeddings(
-        pa.Table.from_batches([first]).column("embedding").slice(0, k)
-    ).astype(np.float64)
-    k_eff = C.shape[0]
 
     ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
 
@@ -2546,33 +2474,26 @@ def shipping_priority(
 
     cut = datetime.datetime.fromisoformat(cutoff)
 
-    cust_path = _path(sf_dir, "customer")
-    cust = rd.read_parquet(
-        cust_path,
-        columns=["c_custkey", "c_mktsegment"],
-        filter=pc.field("c_mktsegment") == segment,
-        schema=_clean_schema(cust_path, ["c_custkey", "c_mktsegment"]),
+    cust = _read(
+        sf_dir,
+        "customer",
+        ["c_custkey", "c_mktsegment"],
+        pc.field("c_mktsegment") == segment,
     ).map_batches(
         lambda t: t.select(["c_custkey"]).rename_columns(["o_custkey"]),
         batch_format="pyarrow",
     )
-
-    ord_path = _path(sf_dir, "orders")
-    ord_cols = ["o_orderkey", "o_custkey", "o_orderdate", "o_orderpriority"]
-    orders = rd.read_parquet(
-        ord_path,
-        columns=ord_cols,
-        filter=pc.field("o_orderdate") < cut,
-        schema=_clean_schema(ord_path, ord_cols),
+    orders = _read(
+        sf_dir,
+        "orders",
+        ["o_orderkey", "o_custkey", "o_orderdate", "o_orderpriority"],
+        pc.field("o_orderdate") < cut,
     )
-
-    li_path = _path(sf_dir, "lineitem")
-    li_cols = ["l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"]
-    li = rd.read_parquet(
-        li_path,
-        columns=li_cols,
-        filter=pc.field("l_shipdate") > cut,
-        schema=_clean_schema(li_path, li_cols),
+    li = _read(
+        sf_dir,
+        "lineitem",
+        ["l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"],
+        pc.field("l_shipdate") > cut,
     )
 
     def li_prep(t: pa.Table) -> pa.Table:
@@ -2729,12 +2650,11 @@ def priority_semi_counts(sf_dir, flag: str = "R") -> rd.Dataset:
     to distinct orderkeys per batch; the driver only ever sees the
     ~5-row priority rollup."""
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderpriority"])
-    li_path = _path(sf_dir, "lineitem")
-    li = rd.read_parquet(
-        li_path,
-        columns=["l_orderkey", "l_returnflag"],
-        filter=pc.field("l_returnflag") == flag,
-        schema=_clean_schema(li_path, ["l_orderkey", "l_returnflag"]),
+    li = _read(
+        sf_dir,
+        "lineitem",
+        ["l_orderkey", "l_returnflag"],
+        pc.field("l_returnflag") == flag,
     ).map_batches(
         lambda t: t.select(["l_orderkey"]).rename_columns(["o_orderkey"]),
         batch_format="pyarrow",
@@ -2763,12 +2683,11 @@ def churned_customers(sf_dir, cutoff: str = "2000-01-01") -> rd.Dataset:
     cust = _read(
         sf_dir, "customer", ["c_custkey", "c_mktsegment", "c_acctbal"]
     )
-    ord_path = _path(sf_dir, "orders")
-    orders = rd.read_parquet(
-        ord_path,
-        columns=["o_custkey", "o_orderdate"],
-        filter=pc.field("o_orderdate") >= cut,
-        schema=_clean_schema(ord_path, ["o_custkey", "o_orderdate"]),
+    orders = _read(
+        sf_dir,
+        "orders",
+        ["o_custkey", "o_orderdate"],
+        pc.field("o_orderdate") >= cut,
     ).map_batches(
         lambda t: t.select(["o_custkey"]).rename_columns(["c_custkey"]),
         batch_format="pyarrow",
@@ -3002,29 +2921,17 @@ def small_quantity_revenue(sf_dir) -> rd.Dataset:
 
     stats = _aggregate(li, ["l_partkey"], partial=stat_partial)
 
-    part = pd.read_parquet(
-        _path(sf_dir, "part"), columns=["p_partkey", "p_brand"]
-    )
-    order = np.argsort(part["p_partkey"].to_numpy())
-    brand_ref = ray.put(
-        (
-            part["p_partkey"].to_numpy()[order],
-            part["p_brand"].to_numpy()[order],
-        )
-    )
+    brand_ref = ray.put(_dimension(sf_dir, "part", "p_partkey", "p_brand"))
 
     joined = _hash_join(li, stats, on=["l_partkey"])
 
     def filter_brand(df: pd.DataFrame) -> pd.DataFrame:
-        keys, brands = ray.get(brand_ref)
         q = np.rint(df["l_quantity"].to_numpy()).astype(np.int64)
         keep = 5 * q * df["n"].to_numpy() < df["s"].to_numpy()
-        pk = df["l_partkey"].to_numpy()[keep]
         cents = np.rint(df["l_extendedprice"].to_numpy()[keep] * 100).astype(np.int64)
-        idx = np.searchsorted(keys, pk)
-        valid = (idx < len(keys)) & (keys[np.minimum(idx, len(keys) - 1)] == pk)
+        valid, brands = _lookup(ray.get(brand_ref), df["l_partkey"].to_numpy()[keep])
         return (
-            pd.DataFrame({"p_brand": brands[idx[valid]], "cents": cents[valid]})
+            pd.DataFrame({"p_brand": brands, "cents": cents[valid]})
             .groupby("p_brand", as_index=False)
             .agg(n_items=("cents", "size"), revenue_cents=("cents", "sum"))
         )
@@ -3136,16 +3043,9 @@ def unigram_surprisal(sf_dir) -> rd.Dataset:
     sums are one more keyed pass on doc hash."""
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
-    def tf_partial(df: pd.DataFrame) -> pd.DataFrame:
-        ex = df.set_index("doc_id")["text"].str.findall(r"\S+").explode().dropna()
-        g = ex.groupby([ex.index, ex.to_numpy()]).size().rename("tf").reset_index()
-        g.columns = ["doc_id", "word", "tf"]
-        g["tf"] = g["tf"].astype("int64")
-        return g
-
     # tf feeds BOTH the total pass and the scoring shuffle; pin it once
     # (lazy re-execution would tokenize the whole corpus twice)
-    tf = ds.map_batches(tf_partial, batch_format="pandas").materialize()
+    tf = ds.map_batches(_term_counts, batch_format="pandas").materialize()
     if tf.count() == 0:  # no token at all: a typed empty result
         cols = ("doc_id", "n_tokens", "microbits")
         return rd.from_arrow(pa.table({c: pa.array([], pa.int64()) for c in cols}))
@@ -3158,14 +3058,14 @@ def unigram_surprisal(sf_dir) -> rd.Dataset:
     )
 
     def attach_q(g: pd.DataFrame) -> pd.DataFrame:
-        # all rows of a word are co-located: corpus count = group sum
+        # all rows of a term are co-located: corpus count = group sum
         g = g.copy()
-        c = g.groupby("word")["tf"].transform("sum").to_numpy(np.float64)
+        c = g.groupby("term")["tf"].transform("sum").to_numpy(np.float64)
         q = np.floor(np.log2(float(total) / c) * 1e6 + 0.5).astype(np.int64)
         g["q"] = q * g["tf"].to_numpy()
         return g
 
-    scored = _aggregate(tf, ["word"], attach_q)
+    scored = _aggregate(tf, ["term"], attach_q)
 
     def per_doc(g: pd.DataFrame) -> pd.DataFrame:
         return g.groupby("doc_id", as_index=False).agg(

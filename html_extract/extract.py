@@ -229,8 +229,6 @@ def extract_from_document(doc, base_url=None):
                 el, i, block, link_depth, exit_block = child, 0, t, 0, t
                 descended = True
                 break
-            if name == "template":
-                continue  # inert content
             art = in_article or name in ("article", "main")
             if name in BLOCK_TAGS:
                 flush(block)

@@ -1,9 +1,8 @@
 """Lance-first storage shim with a Parquet fallback.
 
-The north rule reads/writes Lance tables; this sandbox has no ``lance``
-package (SURVEY.md environment facts), so every call degrades to
-Parquet with an identical schema.  The pipeline never cares which one
-it got — paths and column types are the same either way.
+Output tables are written as Lance when the ``lance`` package is
+installed and as Parquet with an identical schema otherwise.  Reads go
+through ``dataops._read_files``.
 """
 
 import ray.data as rd
@@ -14,17 +13,6 @@ try:  # pragma: no cover - not available in the sandbox
     HAVE_LANCE = True
 except ImportError:
     HAVE_LANCE = False
-
-
-def storage_format() -> str:
-    return "lance" if HAVE_LANCE else "parquet"
-
-
-def read_documents(path_or_uri, **kwargs) -> "rd.Dataset":
-    """Read a document table (Lance dataset dir or parquet file/dir)."""
-    if HAVE_LANCE and str(path_or_uri).endswith(".lance"):
-        return rd.read_lance(path_or_uri, **kwargs)
-    return rd.read_parquet(path_or_uri, **kwargs)
 
 
 def write_dataset(ds: "rd.Dataset", path: str, **kwargs) -> None:

@@ -91,18 +91,13 @@ def load_documents(sf_dir: str, shard=None, num_shards=None) -> rd.Dataset:
     file subset (no re-reading); a single-file corpus falls back to a
     doc_id-hash filter.
     """
-    from .dataops import _clean_schema, _num_blocks
+    from .dataops import _read_files
 
     files = _document_files(sf_dir)
     if shard is not None and num_shards and len(files) >= num_shards:
         files = files[shard::num_shards]
         shard = None  # file-level sharding replaces the hash filter
-    ds = rd.read_parquet(
-        files,
-        columns=["doc_id", "text"],
-        schema=_clean_schema(files[0], ["doc_id", "text"]),
-        override_num_blocks=_num_blocks(sum(os.path.getsize(f) for f in files)),
-    )
+    ds = _read_files(files, ["doc_id", "text"])
     if shard is not None and num_shards:
         def pick(t: pa.Table) -> pa.Table:
             import numpy as np
@@ -284,35 +279,6 @@ def extracted_dataset(
         batch_size=batch_size,
         concurrency=concurrency,
     )
-
-
-_SIZE_EDGES = (1 << 8, 1 << 10, 1 << 12, 1 << 14, 1 << 16, 1 << 20)
-
-
-def size_histogram(ds: rd.Dataset):
-    """Doc-size histogram (drives block shaping / skew decisions).
-
-    One cheap vectorized pass over just n_bytes; returns
-    {bucket_upper_bound_or_'inf': count} over ``_SIZE_EDGES``.
-    """
-    import numpy as np
-
-    nb = len(_SIZE_EDGES) + 1
-
-    def count(t: pa.Table) -> pa.Table:
-        arr = t["n_bytes"].to_numpy(zero_copy_only=False)
-        idx = np.searchsorted(np.asarray(_SIZE_EDGES), arr, side="right")
-        hist = np.bincount(idx, minlength=nb)
-        return pa.table({f"b{i}": [int(hist[i])] for i in range(nb)})
-
-    partials = ds.select_columns(["n_bytes"]).map_batches(
-        count, batch_format="pyarrow"
-    )
-    totals = partials.sum([f"b{i}" for i in range(nb)])
-    labels = [str(e) for e in _SIZE_EDGES] + ["inf"]
-    return {
-        lab: int(totals[f"sum(b{i})"]) for i, lab in enumerate(labels)
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -632,6 +632,21 @@ def test_contamination_check_flags_planted_overlap(tmp_path):
     assert out[2] >= 1  # the plagiarised 8-gram is caught
 
 
+def test_contamination_check_ignores_file_order(tmp_path):
+    """The probes come from the documents with the smallest doc_ids, as
+    the twin's ``ORDER BY doc_id LIMIT 64`` does, so a doc_id-shuffled
+    copy of the corpus gives the same result."""
+    import pyarrow.parquet as pq
+
+    from html_extract import dataops as D
+
+    docs = pq.read_table(f"{SF}/documents.parquet")
+    perm = np.random.RandomState(5).permutation(docs.num_rows)
+    pq.write_table(docs.take(perm), tmp_path / "documents.parquet")
+    shuffled = U.rows_and_hash(D.contamination_check(str(tmp_path)))
+    assert shuffled == U.rows_and_hash(D.contamination_check(SF))
+
+
 def test_pack_sequences_conserves_tokens(tmp_path):
     from html_extract import dataops as D
 

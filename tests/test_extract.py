@@ -140,3 +140,25 @@ def test_base_href_resolves_relative_media():
     spans, _ = extract_spans(html)
     refs = [s[2] for s in spans if s[0] == "media"]
     assert refs == ["https://ex.org/a/img/x.png", "https://cdn.example/y.png"]
+
+
+def test_srcset_fallback_takes_first_candidate():
+    """An image with no src/data-src/poster takes its media ref from the
+    first ``srcset`` candidate URL (descriptor dropped)."""
+    spans, _ = extract_spans(
+        '<body><img srcset="a.png 1x, b.png 2x" alt="A pic"></body>'
+    )
+    assert spans == [("media", "A pic", "a.png")]
+
+
+def test_id_alone_prunes_next_to_a_neutral_class():
+    """class and id are matched as one string, so an element whose class
+    is neutral is still pruned when its id names boilerplate."""
+    para = "<p>{} paragraph with enough words to pass the length cut.</p>"
+    spans, _ = extract_spans(
+        '<body><div class="story" id="sidebar">' + para.format("Sidebar")
+        + '</div><div class="story">' + para.format("Story") + "</div></body>"
+    )
+    texts = [s[1] for s in spans]
+    assert any(t.startswith("Story paragraph") for t in texts)
+    assert not any("Sidebar" in t for t in texts)

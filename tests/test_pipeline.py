@@ -74,16 +74,6 @@ def test_sharded_run_and_resume(tmp_path):
     ]
 
 
-def test_size_histogram():
-    from html_extract import pipeline as P
-
-    ds = P.interleaved_dataset(SF_DIR)
-    hist = P.size_histogram(ds)
-    assert sum(hist.values()) == 500
-    # corpus pages are multi-KB
-    assert hist["256"] == 0
-
-
 def test_spans_flat_projection():
     from html_extract import pipeline as P
 
@@ -302,8 +292,9 @@ def test_one_cpu_session_completes():
 
 
 # every dataops query whose map stages ran as per-Dataset actor pools,
-# the two whose Jaccard verify waited on an all-to-all, and the ones
-# whose keyless combine (a repartition(1)) ran beside independent reads
+# the two whose Jaccard verify waited on an all-to-all, the ones whose
+# keyless combine (a repartition(1)) ran beside independent reads, and
+# the ones that run a shared read, term-count or top-k helper
 ONE_CPU_QUERY_NAMES = [
     "langid",
     "minhash_candidates",
@@ -325,6 +316,16 @@ ONE_CPU_QUERY_NAMES = [
     "distinct_users_exact",
     "cohort_retention",
     "event_interarrival",
+    "shipping_priority",
+    "filtered_corpus",
+    "exact_dedup",
+    "tfidf_top_terms",
+    "unigram_surprisal",
+    "top_docs_per_lang",
+    "quota_sample_per_source",
+    "top_users_by_events",
+    "stopword_counts",
+    "kmeans_clusters",
 ]
 
 
