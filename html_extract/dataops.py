@@ -33,13 +33,14 @@ Design rules applied throughout (see ray_guide / SURVEY.md §4):
   dependent builtins), so results are stable across machines,
 - every rule that several queries share is one helper, so no copy can
   drift from another: ``_read`` (the one Parquet read, with an optional
-  pushed-down filter), ``_head_embeddings`` and ``_query_vectors`` (the
-  bounded driver-side reads), ``_dimension`` + ``_lookup`` (broadcast
-  dimension join that drops orphan keys), ``_by_digest`` (md5 digest
-  groups), ``_term_counts`` and ``_stop_counts`` (per-document terms and
-  stopwords), ``_top_counts`` and ``_top_per_group`` (global and
-  per-group top-k), and ``_query_topk`` / ``_bucket_topk`` /
-  ``_rank_per_query`` (ANN candidates and their per-query rank).
+  pushed-down filter), ``_query_vectors`` (the bounded driver-side
+  read), ``_head_embeddings`` (the smallest vec_ids), ``_dimension`` +
+  ``_lookup`` (broadcast dimension join that drops orphan keys),
+  ``_by_digest`` (md5 digest groups), ``_term_counts`` and
+  ``_stop_counts`` (per-document terms and stopwords), ``_top_counts``
+  and ``_top_per_group`` (global and per-group top-k), and
+  ``_query_topk`` / ``_bucket_topk`` / ``_rank_per_query`` (ANN
+  candidates and their per-query rank).
 """
 
 import hashlib
@@ -97,19 +98,14 @@ def _read_files(paths, columns, filter=None) -> rd.Dataset:
 
 
 def _head_embeddings(sf_dir, n) -> np.ndarray:
-    """The first ``n`` embeddings in file order as an (n, d) float64
-    matrix, streamed from the first row group(s): the driver holds about
-    ``n`` rows whatever the table's size."""
-    batches, got = [], 0
-    pf = pq.ParquetFile(_path(sf_dir, "embeddings"))
-    for rb in pf.iter_batches(batch_size=min(n, 65536), columns=["embedding"]):
-        batches.append(rb.column(0))
-        got += rb.num_rows
-        if got >= n:
-            break
-    if not batches:
+    """The ``n`` embeddings with the smallest vec_ids, in id order, as an
+    (n, d) float64 matrix, whatever the file order (``_top_per_group``):
+    the driver holds only those ``n`` rows."""
+    ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
+    head = _top_per_group(ds, [], ["vec_id"], [True], n, ["embedding"]).to_pandas()
+    if not len(head):  # no embeddings
         return np.empty((0, 0), dtype=np.float64)
-    return _stack_embeddings(pa.chunked_array(batches).slice(0, n))
+    return _stack_embeddings(head.sort_values("rank")["embedding"])
 
 
 def _query_vectors(sf_dir, n_queries):
@@ -2352,7 +2348,7 @@ def kmeans_clusters(sf_dir, k: int = 8, n_iter: int = 8) -> rd.Dataset:
     driver materialization.  Non-SQL (iterative) -> rows-only check;
     the pytest twin is a single-frame numpy Lloyd with the same init
     and tie-break (np.argmin -> lowest cluster id)."""
-    # deterministic init: the first k vectors by file order
+    # deterministic init: the k vectors with the smallest vec_ids
     C = _head_embeddings(sf_dir, k)
     k_eff = C.shape[0]
     if k_eff == 0:

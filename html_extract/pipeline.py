@@ -1,5 +1,5 @@
-"""Ray Data pipeline: read -> adapt -> (skew-aware blocks) -> parse/extract
--> write + per-shard lineage manifests, checkpoint-resumable.
+"""Ray Data pipeline: read -> adapt -> parse/extract -> write + per-shard
+lineage manifests, checkpoint-resumable.
 
 Stage classification follows SURVEY.md §7.2: the parse/extract stage is
 a stateless task stage (its tables are module-level, so a pooled Ray
@@ -10,11 +10,12 @@ map-only — no shuffle is needed to extract.
 Scale notes (the 100 TB design):
 - column pruning at the read (only doc_id/text leave storage for the
   adapter path; a real interleaved corpus reads doc_id/spans).
-- skew defusal: the adapter *yields* sub-batches cut by cumulative
-  html-byte size, so pathological documents land in small blocks and
-  never stall a whole 128 MiB block behind one 10 MB page
-  (north-rule "repartition by doc-size histogram" expressed the
-  streaming-native way: block shaping at source, no extra pass).
+- no skew defusal at the extract stage: the adapter yields sub-tables
+  cut at ADAPTER_SLICE_BYTES of cumulative html, but that bounds only
+  the adapter's own output tables.  ``extracted_dataset`` re-forms
+  batches at ``batch_size`` rows (64 by default) across block
+  boundaries, so a huge page shares its extract batch with up to 63
+  other documents whatever the cut.
 - resume: the corpus is sharded by hash(doc_id) % num_shards; each
   shard writes to its own directory via a temp-dir + atomic rename,
   then appends a manifest JSON.  A rerun skips shards whose manifest
@@ -147,8 +148,9 @@ class InterleaveAdapter:
     (doc_id:string, spans:list<SPAN_IN_T>, n_bytes:int64).
 
     Yields multiple Arrow sub-tables per input batch, cut at
-    ADAPTER_SLICE_BYTES of cumulative html bytes — the skew-defusing
-    block shaping described above.
+    ADAPTER_SLICE_BYTES of cumulative html bytes.  The cut bounds only
+    these output tables: the extract stage re-forms its batches by row
+    count (see the module docstring), so it does not reach ExtractActor.
     """
 
     def __init__(self, replicate: int = 1, mode: str = "rich"):

@@ -7,6 +7,13 @@ OpenElementsStack.php and ActiveFormattingElementsList.php.  Fresh
 implementation against the spec; the tokenizer<->tree coupling
 (SURVEY.md §3.4) is expressed by this class writing
 ``tokenizer.state`` / reading it via the shared object.
+
+Handler contract: every insertion-mode handler (``_m_*``, the in-body
+start/end tag handlers and ``_foreign``) takes one token and returns
+``None`` once the token is consumed, or the token to process next: the
+same token after a mode switch, or a rewritten one (the non-whitespace
+rest of a character token).  ``_process`` is the one loop that
+dispatches a handed-back token again, under one ``MAX_REPROCESS`` guard.
 """
 
 from .dom import (
@@ -120,12 +127,10 @@ class ElementStack(list):
 
     __slots__ = ("counts", "n_foreign")
 
-    def __init__(self, it=()):
-        super().__init__(it)
+    def __init__(self):
+        super().__init__()
         self.counts = {}
         self.n_foreign = 0  # open elements NOT in the HTML namespace
-        for el in self:
-            self._inc(el)
 
     def _inc(self, el):
         el.on_stack = True
@@ -238,7 +243,7 @@ class TreeBuilder:
         self.fragment_context = fragment_context  # (ns, name) or None
         self.context_element = None
         self.on_meta = None  # callback(attrs) for <meta>, set by Parser
-        self._pending = []  # pushed-back tokens (<pre> newline lookahead)
+        self._skip_lf = False  # set by <pre>, <listing> and <textarea>
         self.quirks_mode = NO_QUIRKS
         tokenizer.cdata_allowed = self._cdata_allowed
         if fragment_context is not None:
@@ -267,9 +272,6 @@ class TreeBuilder:
         # cursor when the error fires — the reference's position model
         # (ParseErrorEmitter.php error(): Data::whereIs at the data
         # pointer, with small per-code REPORT_OFFSETS tweaks we skip).
-        # For pushed-back tokens (<pre> newline lookahead) the cursor
-        # may sit one token late; positions are diagnostics, not parity-
-        # asserted tree output.
         if self.collect_errors:
             self.errors.append((code, self.tokenizer.p))
 
@@ -353,6 +355,21 @@ class TreeBuilder:
             else:
                 break
 
+    def _close_element(self, name, code, until=None, thorough=False):
+        """The spec step shared by end tags and implied closes: generate
+        implied end tags except for ``name``, report ``code`` unless the
+        current node is then an HTML ``name``, and pop through the first
+        HTML ``until`` (a name or a set of names; default ``name``)."""
+        self._generate_implied(name, thorough)
+        cur = self.stack[-1]
+        if cur.namespace != HTML_NS or cur.name != name:
+            self._err(code)
+        self._pop_until(name if until is None else until)
+
+    def _close_p_in_button_scope(self):
+        if self._in_scope("p", BUTTON_SCOPE):
+            self._close_element("p", "unexpected-end-tag")
+
     # -- active formatting elements ------------------------------------
     def _push_afe(self, element, name, attrs):
         # Noah's Ark: at most 3 entries with same name/ns/attrs since the
@@ -417,22 +434,14 @@ class TreeBuilder:
             "thead",
             "tr",
         ):
-            last_template = None
-            last_table = None
-            ti = bi = -1
-            for idx, el in enumerate(self.stack):
+            # the last template or table on the stack, whichever is lower
+            for el in reversed(self.stack):
                 if el.namespace == HTML_NS:
                     if el.name == "template":
-                        last_template, ti = el, idx
-                    elif el.name == "table":
-                        last_table, bi = el, idx
-            if last_template is not None and (last_table is None or ti > bi):
-                return last_template.template_content, None
-            if last_table is None:
-                return self.stack[0], None
-            if last_table.parent is not None:
-                return last_table.parent, last_table
-            return self.stack[bi - 1], None
+                        return el.template_content, None
+                    if el.name == "table":
+                        return el.parent, el
+            return self.stack[0], None
         parent = target
         if (
             isinstance(parent, Element)
@@ -460,8 +469,8 @@ class TreeBuilder:
         self.stack.append(el)
         return el
 
-    def _insert_text(self, data, override=None):
-        if not self.foster_parenting and override is None:
+    def _insert_text(self, data):
+        if not self.foster_parenting:
             # fast path: append/coalesce at the current node
             parent = self.stack[-1]
             tc = parent.template_content
@@ -476,9 +485,7 @@ class TreeBuilder:
                 t.parent = parent
                 kids.append(t)
             return
-        parent, before = self._appropriate_place(override)
-        if isinstance(parent, Document):
-            return  # dropped (spec: cannot insert text into a Document)
+        parent, before = self._appropriate_place()
         kids = parent.children
         if before is None:
             prev = kids[-1] if kids else None
@@ -563,30 +570,35 @@ class TreeBuilder:
 
         On return, also by an exception, the tokenizer no longer holds
         this builder's ``_cdata_allowed`` (which made the pair a cycle)."""
-        tokens = self.tokenizer.tokens()
         try:
-            for tok in tokens:
+            for tok in self.tokenizer.tokens():
+                if self._skip_lf:
+                    # spec: after <pre>/<listing>/<textarea>, "if the next
+                    # token is a U+000A LINE FEED character token, ignore
+                    # it" (C12; TreeConstructor.php:500-529)
+                    self._skip_lf = False
+                    if tok[0] in ("Character", "Space") and tok[1].startswith("\n"):
+                        if len(tok[1]) == 1:
+                            continue
+                        tok = (tok[0], tok[1][1:])
                 self._process(tok)
-                while self._pending:
-                    t = self._pending.pop()
-                    self._process(t)
                 if tok[0] == "EOF":
                     break
         finally:
             self.tokenizer.cdata_allowed = tkz.cdata_never
         return self.doc
 
-    _pending: list = []
-
     def _process(self, tok):
-        if self._pending:
-            self._pending = []
-        # fast path: the overwhelmingly common single-dispatch case
-        # (all-HTML stack check inlined from _dispatch_foreign)
+        """Dispatch ``tok``, then each token a handler hands back, until
+        one is consumed.  Only the repeats count against MAX_REPROCESS."""
         st = self.stack
-        if (
-            not st or (not st.n_foreign and self.fragment_context is None)
-        ) or not self._dispatch_foreign(tok):
+        # all-HTML stack check inlined from _dispatch_foreign
+        if st and (st.n_foreign or self.fragment_context is not None) and (
+            self._dispatch_foreign(tok)
+        ):
+            guard = -1  # foreign content: the loop makes the first dispatch
+        else:
+            # fast path: the overwhelmingly common single-dispatch case
             kind = tok[0]
             if kind == "Null":
                 # data-state U+0000 (NullCharacterToken): error + ignore
@@ -597,29 +609,26 @@ class TreeBuilder:
             # straight to the handler, skipping the _m_in_body frame
             if self.mode == IN_BODY:
                 if kind == "StartTag":
-                    if self._in_body_start(tok) is not _REPROCESS:
-                        return
+                    tok = self._in_body_start(tok)
                 elif kind == "EndTag":
-                    if self._in_body_end(tok) is not _REPROCESS:
-                        return
-                elif self._m_in_body(tok) is not _REPROCESS:
-                    return
-            elif MODE_TABLE[self.mode](self, tok) is not _REPROCESS:
-                return
-        else:
-            if self._foreign(tok) is not _REPROCESS:
-                return
-        guard = 0
-        while True:
+                    tok = self._in_body_end(tok)
+                else:
+                    tok = self._m_in_body(tok)
+            else:
+                tok = MODE_TABLE[self.mode](self, tok)
+            guard = 0
+        html_rules = False
+        while tok is not None:
             guard += 1
             if guard > MAX_REPROCESS:
                 raise RuntimeError("token reprocessing loop exceeded cap")
-            if self._dispatch_foreign(tok):
-                done = self._foreign(tok)
+            if not html_rules and self._dispatch_foreign(tok):
+                tok = self._foreign(tok)
+                # only a breakout hands back a start tag: the rest of it
+                # follows the HTML rules (see _foreign)
+                html_rules = tok is not None and tok[0] == "StartTag"
             else:
-                done = MODE_TABLE[self.mode](self, tok)
-            if done is not _REPROCESS:
-                return
+                tok = MODE_TABLE[self.mode](self, tok)
 
     def _dispatch_foreign(self, tok):
         """True -> process via foreign content rules (spec dispatcher)."""
@@ -660,6 +669,8 @@ class TreeBuilder:
 
     # -- foreign content (spec §13.2.6.5) -------------------------------
     def _foreign(self, tok):
+        """Hands back a start tag only on a breakout, an end tag only as
+        the HTML insertion mode's handler handed it back."""
         kind = tok[0]
         if kind == "Null":
             self._err("unexpected-null-character")
@@ -698,21 +709,17 @@ class TreeBuilder:
                     ):
                         break
                     self.stack.pop()
-                # spec: "reprocess ... in HTML content" — dispatch the
-                # HTML insertion mode DIRECTLY (the reference's `goto
+                # spec: "reprocess ... in HTML content": _process runs the
+                # HTML insertion mode on it DIRECTLY (the reference's `goto
                 # ProcessToken`, TreeConstructor.php:3330-3333), never
                 # back through the foreign dispatcher: in a foreign
                 # FRAGMENT the adjusted current node stays the (foreign)
                 # context element forever and the dispatcher would loop
-                return self._reprocess_as(tok, html_rules=True)
+                return tok
             ns = self.adjusted_current.namespace
             if ns == SVG_NS:
                 name = SVG_TAG_NAME_MAP.get(name, name)
-            el = self._create_foreign(name, ns, attrs)
-            self._insert_at(el, self._appropriate_place())
-            self.stack.append(el)
-            if self_closing:
-                self.stack.pop()
+            self._insert_foreign(name, ns, attrs, self_closing)
             return None
         # EndTag
         name = tok[1]
@@ -733,7 +740,9 @@ class TreeBuilder:
                 # process per the HTML insertion mode
                 return MODE_TABLE[self.mode](self, tok)
 
-    def _create_foreign(self, name, ns, attrs):
+    def _insert_foreign(self, name, ns, attrs, self_closing):
+        """Insert a foreign element, its attributes adjusted; it stays
+        open unless self-closing."""
         el = Element(name, ns)
         for aname, value in attrs.items():
             if ns == SVG_NS and aname in SVG_ATTR_NAME_MAP:
@@ -757,7 +766,9 @@ class TreeBuilder:
                         self._err("invalid-namespace-attribute-value")
                         continue
             el.set_attr(aname, value, nsinfo)
-        return el
+        self._insert_at(el, self._appropriate_place())
+        if not self_closing:
+            self.stack.append(el)
 
     # -- adoption agency (spec §13.2.6.4.7 "in body" formatting end tags)
     def _adoption_agency(self, name):
@@ -849,44 +860,22 @@ class TreeBuilder:
         return False
 
     # -- generic text elements ------------------------------------------
-    def _generic_text(self, tok, rawtext):
+    def _generic_text(self, tok, state):
         self._insert_html_element(tok[1], tok[2])
-        self.tokenizer.state = tkz.RAWTEXT if rawtext else tkz.RCDATA
+        self.tokenizer.state = state
         self.original_mode = self.mode
         self.mode = TEXT
 
-    def _close_p(self):
-        self._generate_implied(exclude="p")
-        if not (self.current.namespace == HTML_NS and self.current.name == "p"):
-            self._err("unexpected-end-tag")
-        self._pop_until("p")
-
-    def _skip_next_newline(self):
-        """<pre>/<listing>/<textarea> leading-newline skip: 1-token
-        lookahead (C12; TreeConstructor.php:500-529)."""
-        gen = self.tokenizer.tokens()
-        try:
-            nxt = next(gen)
-        except StopIteration:
-            return
-        kind = nxt[0]
-        if kind == "EOF":
-            # Don't push EOF back: the main generator re-yields EOF (p is
-            # still at end), so a pushback would process EOF twice and
-            # duplicate expected-closing-tag-but-got-eof errors.
-            return
-        if kind in ("Character", "Space") and nxt[1].startswith("\n"):
-            rest = nxt[1][1:]
-            if rest:
-                self._pending.append((kind, rest))
-        else:
-            self._pending.append(nxt)
-
     # -- head-section modes ---------------------------------------------
-    @staticmethod
-    def _split_ws(data):
+    def _split_ws(self, tok, keep):
+        """A character token that starts with whitespace: insert that
+        whitespace (drop it unless ``keep``) and hand back the rest, which
+        is never empty (whitespace-only text is a Space token)."""
+        data = tok[1]
         rest = data.lstrip(WS)
-        return data[: len(data) - len(rest)], rest
+        if keep:
+            self._insert_text(data[: len(data) - len(rest)])
+        return ("Character", rest)
 
     def _detect_quirks(self, tok):
         _, name, public, system, force_quirks = tok
@@ -915,12 +904,9 @@ class TreeBuilder:
         kind = tok[0]
         if kind == "Space":
             return None
-        if kind == "Character":
-            ws, rest = self._split_ws(tok[1])
-            if not rest:
-                return None
-            tok = ("Character", rest)
-        elif kind == "Comment" or kind == "PI":
+        if kind == "Character" and tok[1][0] in WS:
+            return self._split_ws(tok, False)
+        if kind == "Comment" or kind == "PI":
             self._insert_comment(tok[1], (self.doc, None), kind == "PI")
             return None
         elif kind == "Doctype":
@@ -937,35 +923,7 @@ class TreeBuilder:
         self._err("expected-doctype-but-got-something-else")
         self.quirks_mode = self.doc.quirks_mode = QUIRKS
         self.mode = BEFORE_HTML
-        return self._reprocess_as(tok)
-
-    def _reprocess_as(self, tok, html_rules=False):
-        """Reprocess a (possibly rewritten) token, looping locally to
-        completion.  Callers use this after consuming a token PREFIX
-        (the whitespace splits), so the outer _process retry loop —
-        which re-dispatches the ORIGINAL token — must never see a
-        _REPROCESS bubble up from here: a downstream mode that mode-
-        switches and retries (e.g. in-table pending text) would then
-        re-insert the consumed prefix (found as doubled whitespace via
-        the colgroup ' x' case).
-
-        ``html_rules=True`` skips the foreign-content dispatcher for
-        the whole loop — the spec's "reprocess the token according to
-        the rules ... in HTML content" after a foreign breakout (the
-        reference's `goto ProcessToken`): in a foreign FRAGMENT the
-        adjusted current node stays the foreign context element
-        forever, so re-entering the dispatcher would loop."""
-        guard = 0
-        while True:
-            guard += 1
-            if guard > MAX_REPROCESS:
-                raise RuntimeError("token reprocessing loop exceeded cap")
-            if not html_rules and self._dispatch_foreign(tok):
-                done = self._foreign(tok)
-            else:
-                done = MODE_TABLE[self.mode](self, tok)
-            if done is not _REPROCESS:
-                return None
+        return tok
 
     def _m_before_html(self, tok):
         kind = tok[0]
@@ -977,12 +935,9 @@ class TreeBuilder:
             return None
         if kind == "Space":
             return None
-        if kind == "Character":
-            ws, rest = self._split_ws(tok[1])
-            if not rest:
-                return None
-            tok = ("Character", rest)
-        elif kind == "StartTag" and tok[1] == "html":
+        if kind == "Character" and tok[1][0] in WS:
+            return self._split_ws(tok, False)
+        if kind == "StartTag" and tok[1] == "html":
             el = Element("html", HTML_NS, tok[2])
             self.doc.append(el)
             self.stack.append(el)
@@ -995,18 +950,15 @@ class TreeBuilder:
         self.doc.append(el)
         self.stack.append(el)
         self.mode = BEFORE_HEAD
-        return self._reprocess_as(tok)
+        return tok
 
     def _m_before_head(self, tok):
         kind = tok[0]
         if kind == "Space":
             return None
-        if kind == "Character":
-            ws, rest = self._split_ws(tok[1])
-            if not rest:
-                return None
-            tok = ("Character", rest)
-        elif kind == "Comment" or kind == "PI":
+        if kind == "Character" and tok[1][0] in WS:
+            return self._split_ws(tok, False)
+        if kind == "Comment" or kind == "PI":
             self._insert_comment(tok[1], is_pi=kind == "PI")
             return None
         elif kind == "Doctype":
@@ -1024,21 +976,16 @@ class TreeBuilder:
             return None
         self.head = self._insert_html_element("head", EMPTY_MAP)
         self.mode = IN_HEAD
-        return self._reprocess_as(tok)
+        return tok
 
     def _m_in_head(self, tok):
         kind = tok[0]
         if kind == "Space":
             self._insert_text(tok[1])
             return None
-        if kind == "Character":
-            ws, rest = self._split_ws(tok[1])
-            if ws:
-                self._insert_text(ws)
-            if not rest:
-                return None
-            tok = ("Character", rest)
-        elif kind == "Comment" or kind == "PI":
+        if kind == "Character" and tok[1][0] in WS:
+            return self._split_ws(tok, True)
+        if kind == "Comment" or kind == "PI":
             self._insert_comment(tok[1], is_pi=kind == "PI")
             return None
         elif kind == "Doctype":
@@ -1062,24 +1009,21 @@ class TreeBuilder:
                     self.on_meta(tok[2])
                 return None
             if name == "title":
-                self._generic_text(tok, rawtext=False)
+                self._generic_text(tok, tkz.RCDATA)
                 return None
             if name in ("noframes", "style"):
-                self._generic_text(tok, rawtext=True)
+                self._generic_text(tok, tkz.RAWTEXT)
                 return None
             if name == "noscript":
                 if self.scripting:
                     # scripting on: generic raw text (spec in-head)
-                    self._generic_text(tok, rawtext=True)
+                    self._generic_text(tok, tkz.RAWTEXT)
                     return None
                 self._insert_html_element(name, tok[2])
                 self.mode = IN_HEAD_NOSCRIPT
                 return None
             if name == "script":
-                self._insert_html_element(name, tok[2])
-                self.tokenizer.state = tkz.SCRIPT_DATA
-                self.original_mode = self.mode
-                self.mode = TEXT
+                self._generic_text(tok, tkz.SCRIPT_DATA)
                 return None
             if name == "template":
                 self._insert_html_element(name, tok[2])
@@ -1098,19 +1042,10 @@ class TreeBuilder:
                 self.mode = AFTER_HEAD
                 return None
             if name == "template":
-                if not any(
-                    el.namespace == HTML_NS and el.name == "template"
-                    for el in self.stack
-                ):
+                if not self.stack.has_open(HTML_NS, "template"):
                     self._err("unexpected-end-tag")
                     return None
-                self._generate_implied(thorough=True)
-                if not (
-                    self.current.namespace == HTML_NS
-                    and self.current.name == "template"
-                ):
-                    self._err("unexpected-end-tag")
-                self._pop_until("template")
+                self._close_element("template", "unexpected-end-tag", thorough=True)
                 self._clear_afe_to_marker()
                 if self.template_modes:
                     self.template_modes.pop()
@@ -1121,7 +1056,7 @@ class TreeBuilder:
                 return None
         self.stack.pop()
         self.mode = AFTER_HEAD
-        return self._reprocess_as(tok)
+        return tok
 
     def _m_in_head_noscript(self, tok):
         kind = tok[0]
@@ -1132,14 +1067,9 @@ class TreeBuilder:
             return self._m_in_head(tok)
         if kind == "Comment" or kind == "PI":
             return self._m_in_head(tok)
-        if kind == "Character":
-            ws, rest = self._split_ws(tok[1])
-            if ws:
-                self._insert_text(ws)
-            if not rest:
-                return None
-            tok = ("Character", rest)
-        elif kind == "StartTag":
+        if kind == "Character" and tok[1][0] in WS:
+            return self._split_ws(tok, True)
+        if kind == "StartTag":
             name = tok[1]
             if name == "html":
                 return self._m_in_body(tok)
@@ -1167,21 +1097,16 @@ class TreeBuilder:
         self._err("unexpected-token-in-head-noscript")
         self.stack.pop()
         self.mode = IN_HEAD
-        return self._reprocess_as(tok)
+        return tok
 
     def _m_after_head(self, tok):
         kind = tok[0]
         if kind == "Space":
             self._insert_text(tok[1])
             return None
-        if kind == "Character":
-            ws, rest = self._split_ws(tok[1])
-            if ws:
-                self._insert_text(ws)
-            if not rest:
-                return None
-            tok = ("Character", rest)
-        elif kind == "Comment" or kind == "PI":
+        if kind == "Character" and tok[1][0] in WS:
+            return self._split_ws(tok, True)
+        if kind == "Comment" or kind == "PI":
             self._insert_comment(tok[1], is_pi=kind == "PI")
             return None
         elif kind == "Doctype":
@@ -1230,7 +1155,7 @@ class TreeBuilder:
                 return None
         self._insert_html_element("body", EMPTY_MAP)
         self.mode = IN_BODY
-        return self._reprocess_as(tok)
+        return tok
 
     def _m_text(self, tok):
         kind = tok[0]
@@ -1241,7 +1166,7 @@ class TreeBuilder:
             self._err("eof-in-text-mode")
             self.stack.pop()
             self.mode = self.original_mode
-            return _REPROCESS
+            return tok
         # any end tag (incl. </script>)
         self.stack.pop()
         self.mode = self.original_mode
@@ -1289,8 +1214,7 @@ class TreeBuilder:
         # is semantics-free; ordered by measured corpus tag frequency
         # (div/p > a > b/i > script/style/title > li > h1-h6).
         if name in _BLOCK_START:
-            if self._in_scope("p", BUTTON_SCOPE):
-                self._close_p()
+            self._close_p_in_button_scope()
             self._insert_html_element(name, attrs)
             return None
         if name == "a":
@@ -1316,30 +1240,23 @@ class TreeBuilder:
             return None
         if name in _IN_HEAD_DELEGATE:
             return self._m_in_head(tok)
-        if name == "li":
+        if name in ("li", "dd", "dt"):
             self.frameset_ok = False
+            closes = ("li",) if name == "li" else ("dd", "dt")
             for el in reversed(self.stack):
-                if el.namespace == HTML_NS and el.name == "li":
-                    self._generate_implied(exclude="li")
-                    if not (
-                        self.current.namespace == HTML_NS
-                        and self.current.name == "li"
-                    ):
-                        self._err("unexpected-start-tag")
-                    self._pop_until("li")
+                if el.namespace == HTML_NS and el.name in closes:
+                    self._close_element(el.name, "unexpected-start-tag")
                     break
                 if self._is_special(el) and not (
                     el.namespace == HTML_NS
                     and el.name in ("address", "div", "p")
                 ):
                     break
-            if self._in_scope("p", BUTTON_SCOPE):
-                self._close_p()
+            self._close_p_in_button_scope()
             self._insert_html_element(name, attrs)
             return None
         if name in _HEADINGS:
-            if self._in_scope("p", BUTTON_SCOPE):
-                self._close_p()
+            self._close_p_in_button_scope()
             cur = self.current
             if cur.namespace == HTML_NS and cur.name in _HEADINGS:
                 self._err("unexpected-start-tag")
@@ -1348,10 +1265,7 @@ class TreeBuilder:
             return None
         if name == "html":
             self._err("unexpected-start-tag")
-            if any(
-                el.namespace == HTML_NS and el.name == "template"
-                for el in self.stack
-            ):
+            if self.stack.has_open(HTML_NS, "template"):
                 return None
             top = self.stack[0]
             for k, v in attrs.items():
@@ -1366,10 +1280,7 @@ class TreeBuilder:
                     self.stack[1].namespace == HTML_NS
                     and self.stack[1].name == "body"
                 )
-                or any(
-                    el.namespace == HTML_NS and el.name == "template"
-                    for el in self.stack
-                )
+                or self.stack.has_open(HTML_NS, "template")
             ):
                 return None
             self.frameset_ok = False
@@ -1396,50 +1307,23 @@ class TreeBuilder:
             self.mode = IN_FRAMESET
             return None
         if name in ("pre", "listing"):
-            if self._in_scope("p", BUTTON_SCOPE):
-                self._close_p()
+            self._close_p_in_button_scope()
             self._insert_html_element(name, attrs)
-            self._skip_next_newline()
+            self._skip_lf = True
             self.frameset_ok = False
             return None
         if name == "form":
-            has_template = any(
-                el.namespace == HTML_NS and el.name == "template"
-                for el in self.stack
-            )
+            has_template = self.stack.has_open(HTML_NS, "template")
             if self.form is not None and not has_template:
                 self._err("unexpected-start-tag")
                 return None
-            if self._in_scope("p", BUTTON_SCOPE):
-                self._close_p()
+            self._close_p_in_button_scope()
             el = self._insert_html_element(name, attrs)
             if not has_template:
                 self.form = el
             return None
-        if name in ("dd", "dt"):
-            self.frameset_ok = False
-            for el in reversed(self.stack):
-                if el.namespace == HTML_NS and el.name in ("dd", "dt"):
-                    self._generate_implied(exclude=el.name)
-                    if not (
-                        self.current.namespace == HTML_NS
-                        and self.current.name == el.name
-                    ):
-                        self._err("unexpected-start-tag")
-                    self._pop_until(el.name)
-                    break
-                if self._is_special(el) and not (
-                    el.namespace == HTML_NS
-                    and el.name in ("address", "div", "p")
-                ):
-                    break
-            if self._in_scope("p", BUTTON_SCOPE):
-                self._close_p()
-            self._insert_html_element(name, attrs)
-            return None
         if name == "plaintext":
-            if self._in_scope("p", BUTTON_SCOPE):
-                self._close_p()
+            self._close_p_in_button_scope()
             self._insert_html_element(name, attrs)
             self.tokenizer.state = tkz.PLAINTEXT
             return None
@@ -1468,10 +1352,8 @@ class TreeBuilder:
             self.frameset_ok = False
             return None
         if name == "table":
-            if self.quirks_mode != QUIRKS and self._in_scope(
-                "p", BUTTON_SCOPE
-            ):
-                self._close_p()
+            if self.quirks_mode != QUIRKS:
+                self._close_p_in_button_scope()
             self._insert_html_element(name, attrs)
             self.frameset_ok = False
             self.mode = IN_TABLE
@@ -1502,8 +1384,7 @@ class TreeBuilder:
             self.stack.pop()
             return None
         if name == "hr":
-            if self._in_scope("p", BUTTON_SCOPE):
-                self._close_p()
+            self._close_p_in_button_scope()
             # select-aware per reworked select parsing
             # (TreeConstructor.php:799-825)
             if self._in_scope("select"):
@@ -1518,26 +1399,22 @@ class TreeBuilder:
             self._err("unexpected-start-tag")
             return self._in_body_start(("StartTag", "img", attrs, self_closing))
         if name == "textarea":
-            self._insert_html_element(name, attrs)
-            self.tokenizer.state = tkz.RCDATA
-            self.original_mode = self.mode
+            self._generic_text(tok, tkz.RCDATA)
             self.frameset_ok = False
-            self.mode = TEXT
-            self._skip_next_newline()
+            self._skip_lf = True
             return None
         if name == "xmp":
-            if self._in_scope("p", BUTTON_SCOPE):
-                self._close_p()
+            self._close_p_in_button_scope()
             self._reconstruct_afe()
             self.frameset_ok = False
-            self._generic_text(tok, rawtext=True)
+            self._generic_text(tok, tkz.RAWTEXT)
             return None
         if name == "iframe":
             self.frameset_ok = False
-            self._generic_text(tok, rawtext=True)
+            self._generic_text(tok, tkz.RAWTEXT)
             return None
         if name == "noembed" or (name == "noscript" and self.scripting):
-            self._generic_text(tok, rawtext=True)
+            self._generic_text(tok, tkz.RAWTEXT)
             return None
         if name == "select":
             # reworked select parsing (TreeConstructor.php:890-917)
@@ -1594,21 +1471,10 @@ class TreeBuilder:
                     self._err("unexpected-start-tag")
             self._insert_html_element(name, attrs)
             return None
-        if name == "math":
+        if name in ("math", "svg"):
             self._reconstruct_afe()
-            el = self._create_foreign(name, MATHML_NS, attrs)
-            self._insert_at(el, self._appropriate_place())
-            self.stack.append(el)
-            if self_closing:
-                self.stack.pop()
-            return None
-        if name == "svg":
-            self._reconstruct_afe()
-            el = self._create_foreign(name, SVG_NS, attrs)
-            self._insert_at(el, self._appropriate_place())
-            self.stack.append(el)
-            if self_closing:
-                self.stack.pop()
+            ns = MATHML_NS if name == "math" else SVG_NS
+            self._insert_foreign(name, ns, attrs, self_closing)
             return None
         if name in (
             "caption",
@@ -1637,12 +1503,7 @@ class TreeBuilder:
             if not self._in_scope(name):
                 self._err("unexpected-end-tag")
                 return None
-            self._generate_implied()
-            if not (
-                self.current.namespace == HTML_NS and self.current.name == name
-            ):
-                self._err("end-tag-too-early")
-            self._pop_until(name)
+            self._close_element(name, "end-tag-too-early")
             return None
         if name in FORMATTING_ELEMENTS:
             if self._adoption_agency(name):
@@ -1652,34 +1513,23 @@ class TreeBuilder:
             if not self._in_scope("p", BUTTON_SCOPE):
                 self._err("unexpected-end-tag")
                 self._insert_html_element("p", EMPTY_MAP)
-            self._close_p()
+            self._close_element("p", "unexpected-end-tag")
             return None
         if name == "li":
             if not self._in_scope("li", LIST_ITEM_SCOPE):
                 self._err("unexpected-end-tag")
                 return None
-            self._generate_implied(exclude="li")
-            if not (
-                self.current.namespace == HTML_NS
-                and self.current.name == "li"
-            ):
-                self._err("end-tag-too-early")
-            self._pop_until("li")
+            self._close_element("li", "end-tag-too-early")
             return None
         if name in _HEADINGS:
             if not self._in_scope(_HEADINGS):
                 self._err("unexpected-end-tag")
                 return None
-            self._generate_implied()
-            if not (
-                self.current.namespace == HTML_NS and self.current.name == name
-            ):
-                self._err("end-tag-too-early")
-            self._pop_until(_HEADINGS)
+            self._close_element(name, "end-tag-too-early", until=_HEADINGS)
             return None
         if name == "template":
             return self._m_in_head(tok)
-        if name == "body":
+        if name in ("body", "html"):
             if not self._in_scope("body"):
                 self._err("unexpected-end-tag")
                 return None
@@ -1688,23 +1538,9 @@ class TreeBuilder:
                     self._err("expected-one-end-tag-but-got-another")
                     break
             self.mode = AFTER_BODY
-            return None
-        if name == "html":
-            if not self._in_scope("body"):
-                self._err("unexpected-end-tag")
-                return None
-            for el in self.stack:
-                if el.namespace == HTML_NS and el.name not in _OK_AT_EOF:
-                    self._err("expected-one-end-tag-but-got-another")
-                    break
-            self.mode = AFTER_BODY
-            return _REPROCESS
+            return tok if name == "html" else None
         if name == "form":
-            in_template = any(
-                el.namespace == HTML_NS and el.name == "template"
-                for el in self.stack
-            )
-            if not in_template:
+            if not self.stack.has_open(HTML_NS, "template"):
                 node = self.form
                 self.form = None
                 if node is None or self._el_in_scope(node) < 0:
@@ -1718,35 +1554,19 @@ class TreeBuilder:
             if not self._in_scope("form"):
                 self._err("unexpected-end-tag")
                 return None
-            self._generate_implied()
-            if not (
-                self.current.namespace == HTML_NS
-                and self.current.name == "form"
-            ):
-                self._err("end-tag-too-early-ignored")
-            self._pop_until("form")
+            self._close_element("form", "end-tag-too-early-ignored")
             return None
         if name in ("dd", "dt"):
             if not self._in_scope(name):
                 self._err("unexpected-end-tag")
                 return None
-            self._generate_implied(exclude=name)
-            if not (
-                self.current.namespace == HTML_NS and self.current.name == name
-            ):
-                self._err("end-tag-too-early")
-            self._pop_until(name)
+            self._close_element(name, "end-tag-too-early")
             return None
         if name in ("applet", "marquee", "object"):
             if not self._in_scope(name):
                 self._err("unexpected-end-tag")
                 return None
-            self._generate_implied()
-            if not (
-                self.current.namespace == HTML_NS and self.current.name == name
-            ):
-                self._err("end-tag-too-early")
-            self._pop_until(name)
+            self._close_element(name, "end-tag-too-early")
             self._clear_afe_to_marker()
             return None
         if name == "br":
@@ -1797,7 +1617,7 @@ class TreeBuilder:
                 self.pending_table_text = []
                 self.original_mode = self.mode
                 self.mode = IN_TABLE_TEXT
-                return _REPROCESS
+                return tok
             return self._table_anything_else(tok)
         if kind == "Comment" or kind == "PI":
             self._insert_comment(tok[1], is_pi=kind == "PI")
@@ -1824,7 +1644,7 @@ class TreeBuilder:
                 self._clear_to_context(("table", "template", "html"))
                 self._insert_html_element("colgroup", EMPTY_MAP)
                 self.mode = IN_COLUMN_GROUP
-                return _REPROCESS
+                return tok
             if name in ("tbody", "tfoot", "thead"):
                 self._clear_to_context(("table", "template", "html"))
                 self._insert_html_element(name, tok[2])
@@ -1834,14 +1654,14 @@ class TreeBuilder:
                 self._clear_to_context(("table", "template", "html"))
                 self._insert_html_element("tbody", EMPTY_MAP)
                 self.mode = IN_TABLE_BODY
-                return _REPROCESS
+                return tok
             if name == "table":
                 self._err("unexpected-start-tag-implies-end-tag")
                 if not self._in_scope("table", TABLE_SCOPE):
                     return None
                 self._pop_until("table")
                 self._reset_insertion_mode()
-                return _REPROCESS
+                return tok
             if name in ("style", "script", "template"):
                 return self._m_in_head(tok)
             if name == "input":
@@ -1853,10 +1673,7 @@ class TreeBuilder:
                 return self._table_anything_else(tok)
             if name == "form":
                 self._err("unexpected-form-in-table")
-                if self.form is not None or any(
-                    el.namespace == HTML_NS and el.name == "template"
-                    for el in self.stack
-                ):
+                if self.form is not None or self.stack.has_open(HTML_NS, "template"):
                     return None
                 self.form = self._insert_html_element(name, tok[2])
                 self.stack.pop()
@@ -1915,13 +1732,13 @@ class TreeBuilder:
             else:
                 self._insert_text(joined)
         self.mode = self.original_mode
-        return _REPROCESS
+        return tok
 
     def _m_in_caption(self, tok):
         kind = tok[0]
         name = tok[1] if kind in ("StartTag", "EndTag") else None
         if kind == "EndTag" and name == "caption":
-            return self._close_caption(reprocess=False)
+            return self._close_caption(None)
         if (
             kind == "StartTag"
             and name
@@ -1937,7 +1754,7 @@ class TreeBuilder:
                 "tr",
             )
         ) or (kind == "EndTag" and name == "table"):
-            return self._close_caption(reprocess=True)
+            return self._close_caption(tok)
         if kind == "EndTag" and name in (
             "body",
             "col",
@@ -1954,34 +1771,24 @@ class TreeBuilder:
             return None
         return self._m_in_body(tok)
 
-    def _close_caption(self, reprocess):
+    def _close_caption(self, tok):
+        """Close the caption; hands ``tok`` back to the table."""
         if not self._in_scope("caption", TABLE_SCOPE):
             self._err("unexpected-end-tag")
             return None
-        self._generate_implied()
-        if not (
-            self.current.namespace == HTML_NS
-            and self.current.name == "caption"
-        ):
-            self._err("expected-one-end-tag-but-got-another")
-        self._pop_until("caption")
+        self._close_element("caption", "expected-one-end-tag-but-got-another")
         self._clear_afe_to_marker()
         self.mode = IN_TABLE
-        return _REPROCESS if reprocess else None
+        return tok
 
     def _m_in_column_group(self, tok):
         kind = tok[0]
         if kind == "Space":
             self._insert_text(tok[1])
             return None
-        if kind == "Character":
-            ws, rest = self._split_ws(tok[1])
-            if ws:
-                self._insert_text(ws)
-            if not rest:
-                return None
-            tok = ("Character", rest)
-        elif kind == "Comment" or kind == "PI":
+        if kind == "Character" and tok[1][0] in WS:
+            return self._split_ws(tok, True)
+        if kind == "Comment" or kind == "PI":
             self._insert_comment(tok[1], is_pi=kind == "PI")
             return None
         elif kind == "Doctype":
@@ -2024,74 +1831,31 @@ class TreeBuilder:
             return None
         self.stack.pop()
         self.mode = IN_TABLE
-        # reprocess the LOCAL token: the Character branch above may have
-        # consumed a leading-whitespace prefix into the colgroup; a bare
-        # _REPROCESS would re-dispatch the ORIGINAL token and insert the
-        # whitespace twice (spec: only the unprocessed rest is retried)
-        return self._reprocess_as(tok)
+        return tok
 
     def _m_in_table_body(self, tok):
         kind = tok[0]
         if kind == "StartTag":
             name = tok[1]
             if name == "tr":
-                self._clear_to_context(
-                    ("tbody", "tfoot", "thead", "template", "html")
-                )
+                self._clear_to_context(_TABLE_BODY_CONTEXT)
                 self._insert_html_element(name, tok[2])
                 self.mode = IN_ROW
                 return None
             if name in ("th", "td"):
                 self._err("unexpected-cell-in-table-body")
-                self._clear_to_context(
-                    ("tbody", "tfoot", "thead", "template", "html")
-                )
+                self._clear_to_context(_TABLE_BODY_CONTEXT)
                 self._insert_html_element("tr", EMPTY_MAP)
                 self.mode = IN_ROW
-                return _REPROCESS
-            if name in (
-                "caption",
-                "col",
-                "colgroup",
-                "tbody",
-                "tfoot",
-                "thead",
-            ):
-                if not self._in_scope(
-                    ("tbody", "thead", "tfoot"), TABLE_SCOPE
-                ):
-                    self._err("unexpected-start-tag")
-                    return None
-                self._clear_to_context(
-                    ("tbody", "tfoot", "thead", "template", "html")
-                )
-                self.stack.pop()
-                self.mode = IN_TABLE
-                return _REPROCESS
+                return tok
+            if name in ("caption", "col", "colgroup", "tbody", "tfoot", "thead"):
+                return self._close_table_body(_TABLE_BODIES, "unexpected-start-tag", tok)
         elif kind == "EndTag":
             name = tok[1]
-            if name in ("tbody", "tfoot", "thead"):
-                if not self._in_scope(name, TABLE_SCOPE):
-                    self._err("unexpected-end-tag")
-                    return None
-                self._clear_to_context(
-                    ("tbody", "tfoot", "thead", "template", "html")
-                )
-                self.stack.pop()
-                self.mode = IN_TABLE
-                return None
+            if name in _TABLE_BODIES:
+                return self._close_table_body(name, "unexpected-end-tag", None)
             if name == "table":
-                if not self._in_scope(
-                    ("tbody", "thead", "tfoot"), TABLE_SCOPE
-                ):
-                    self._err("unexpected-end-tag")
-                    return None
-                self._clear_to_context(
-                    ("tbody", "tfoot", "thead", "template", "html")
-                )
-                self.stack.pop()
-                self.mode = IN_TABLE
-                return _REPROCESS
+                return self._close_table_body(_TABLE_BODIES, "unexpected-end-tag", tok)
             if name in (
                 "body",
                 "caption",
@@ -2105,6 +1869,17 @@ class TreeBuilder:
                 self._err("unexpected-end-tag")
                 return None
         return self._m_in_table(tok)
+
+    def _close_table_body(self, names, code, tok):
+        """Close the table body when ``names`` are in table scope (else
+        report ``code``); hands ``tok`` back to the table."""
+        if not self._in_scope(names, TABLE_SCOPE):
+            self._err(code)
+            return None
+        self._clear_to_context(_TABLE_BODY_CONTEXT)
+        self.stack.pop()
+        self.mode = IN_TABLE
+        return tok
 
     def _m_in_row(self, tok):
         kind = tok[0]
@@ -2125,18 +1900,18 @@ class TreeBuilder:
                 "thead",
                 "tr",
             ):
-                return self._close_row(reprocess=True)
+                return self._close_row(tok)
         elif kind == "EndTag":
             name = tok[1]
             if name == "tr":
-                return self._close_row(reprocess=False)
+                return self._close_row(None)
             if name == "table":
-                return self._close_row(reprocess=True)
+                return self._close_row(tok)
             if name in ("tbody", "tfoot", "thead"):
                 if not self._in_scope(name, TABLE_SCOPE):
                     self._err("unexpected-end-tag")
                     return None
-                return self._close_row(reprocess=True)
+                return self._close_row(tok)
             if name in (
                 "body",
                 "caption",
@@ -2150,42 +1925,28 @@ class TreeBuilder:
                 return None
         return self._m_in_table(tok)
 
-    def _close_row(self, reprocess):
+    def _close_row(self, tok):
+        """Close the row; hands ``tok`` back to the table body."""
         if not self._in_scope("tr", TABLE_SCOPE):
             self._err("unexpected-end-tag")
             return None
         self._clear_to_context(("tr", "template", "html"))
         self.stack.pop()
         self.mode = IN_TABLE_BODY
-        return _REPROCESS if reprocess else None
+        return tok
 
     def _m_in_cell(self, tok):
         kind = tok[0]
         if kind == "EndTag":
             name = tok[1]
-            if name in ("td", "th"):
+            if name in ("td", "th", "table", "tbody", "tfoot", "thead", "tr"):
                 if not self._in_scope(name, TABLE_SCOPE):
                     self._err("unexpected-end-tag")
                     return None
-                self._generate_implied()
-                if not (
-                    self.current.namespace == HTML_NS
-                    and self.current.name == name
-                ):
-                    self._err("expected-one-end-tag-but-got-another")
-                self._pop_until(name)
-                self._clear_afe_to_marker()
-                self.mode = IN_ROW
-                return None
+                return self._close_cell(None if name in ("td", "th") else tok)
             if name in ("body", "caption", "col", "colgroup", "html"):
                 self._err("unexpected-end-tag")
                 return None
-            if name in ("table", "tbody", "tfoot", "thead", "tr"):
-                if not self._in_scope(name, TABLE_SCOPE):
-                    self._err("unexpected-end-tag")
-                    return None
-                self._close_cell()
-                return _REPROCESS
         elif kind == "StartTag" and tok[1] in (
             "caption",
             "col",
@@ -2197,27 +1958,20 @@ class TreeBuilder:
             "thead",
             "tr",
         ):
-            if not self._in_scope(("td", "th"), TABLE_SCOPE):
-                # spec's "fragment case" guard — unreachable in practice:
-                # IN_CELL is only entered with a td/th on the stack, and
-                # the reset algorithm maps fragment contexts td/th to
-                # in-body (reference APPROPRIATE_INSERTION_MODES,
-                # TreeConstructor.php:248-258, has no td/th entry), so
-                # no input can be in-cell without a cell in scope
-                self._err("unexpected-start-tag")
-                return None
-            self._close_cell()
-            return _REPROCESS
+            return self._close_cell(tok)
         return self._m_in_body(tok)
 
-    def _close_cell(self):
-        self._generate_implied()
-        cur = self.current
-        if not (cur.namespace == HTML_NS and cur.name in ("td", "th")):
-            self._err("expected-one-end-tag-but-got-another")
-        self._pop_until(("td", "th"))
+    def _close_cell(self, tok):
+        """Close the cell; hands ``tok`` back to the row.  IN_CELL has
+        exactly one td or th in table scope: the mode is only entered with
+        one on top, and IN_CELL closes it before opening another, so the
+        spec's "fragment case" of no cell in scope cannot occur (the reset
+        algorithm maps fragment contexts td/th to in-body)."""
+        cell = "td" if self._in_scope("td", TABLE_SCOPE) else "th"
+        self._close_element(cell, "expected-one-end-tag-but-got-another")
         self._clear_afe_to_marker()
         self.mode = IN_ROW
+        return tok
 
     # -- template / after modes ------------------------------------------
 
@@ -2243,7 +1997,7 @@ class TreeBuilder:
                 self.template_modes.pop()
             self.template_modes.append(next_mode)
             self.mode = next_mode
-            return _REPROCESS
+            return tok
         if kind == "EndTag":
             if tok[1] == "template":
                 return self._m_in_head(tok)
@@ -2266,30 +2020,27 @@ class TreeBuilder:
             if self.template_modes:
                 self.template_modes.pop()
         self._reset_insertion_mode()
-        return _REPROCESS
+        return tok
 
     def _m_after_body(self, tok):
+        """'after body' and 'after after body': they differ only in where
+        a comment goes and in </html>."""
         kind = tok[0]
-        if kind == "Space":
+        if kind == "Comment" or kind == "PI":
+            parent = self.stack[0] if self.mode == AFTER_BODY else self.doc
+            self._insert_comment(tok[1], (parent, None), kind == "PI")
+            return None
+        if kind in ("Space", "Doctype") or (kind == "StartTag" and tok[1] == "html"):
             return self._m_in_body(tok)
         if kind == "Character":
-            ws, rest = self._split_ws(tok[1])
-            if ws:
-                self._m_in_body(("Space", ws))
-            if not rest:
-                return None
+            if tok[1][0] in WS:
+                # the whitespace by the in-body rules, then the rest
+                self._reconstruct_afe()
+                return self._split_ws(tok, True)
             self._err("unexpected-char-after-body")
             self.mode = IN_BODY
-            return self._reprocess_as(("Character", rest))
-        if kind == "Comment" or kind == "PI":
-            self._insert_comment(tok[1], (self.stack[0], None), kind == "PI")
-            return None
-        if kind == "Doctype":
-            self._err("unexpected-doctype")
-            return None
-        if kind == "StartTag" and tok[1] == "html":
-            return self._m_in_body(tok)
-        if kind == "EndTag" and tok[1] == "html":
+            return tok
+        if kind == "EndTag" and tok[1] == "html" and self.mode == AFTER_BODY:
             if self.fragment_context is not None:
                 self._err("unexpected-end-tag")
                 return None
@@ -2299,7 +2050,7 @@ class TreeBuilder:
             return None
         self._err("unexpected-token-after-body")
         self.mode = IN_BODY
-        return _REPROCESS
+        return tok
 
     def _m_in_frameset(self, tok):
         kind = tok[0]
@@ -2378,30 +2129,6 @@ class TreeBuilder:
         self._err("unexpected-token-after-frameset")
         return None
 
-    def _m_after_after_body(self, tok):
-        kind = tok[0]
-        if kind == "Comment" or kind == "PI":
-            self._insert_comment(tok[1], (self.doc, None), kind == "PI")
-            return None
-        if kind == "Doctype" or kind == "Space":
-            return self._m_in_body(tok)
-        if kind == "Character":
-            ws, rest = self._split_ws(tok[1])
-            if ws:
-                self._m_in_body(("Space", ws))
-            if not rest:
-                return None
-            self._err("unexpected-char-after-body")
-            self.mode = IN_BODY
-            return self._reprocess_as(("Character", rest))
-        if kind == "StartTag" and tok[1] == "html":
-            return self._m_in_body(tok)
-        if kind == "EOF":
-            return None
-        self._err("unexpected-token-after-body")
-        self.mode = IN_BODY
-        return _REPROCESS
-
     def _m_after_after_frameset(self, tok):
         kind = tok[0]
         if kind == "Comment" or kind == "PI":
@@ -2425,8 +2152,6 @@ class TreeBuilder:
         return None
 
 
-_REPROCESS = object()
-
 _OK_AT_EOF = frozenset(
     """dd dt li optgroup option p rb rp rt rtc tbody td tfoot th thead tr
     body html""".split()
@@ -2449,6 +2174,8 @@ _FORMATTING_START = frozenset(
     "b big code em font i s small strike strong tt u".split()
 )
 _HEADINGS = frozenset(["h1", "h2", "h3", "h4", "h5", "h6"])
+_TABLE_BODIES = ("tbody", "thead", "tfoot")
+_TABLE_BODY_CONTEXT = ("tbody", "tfoot", "thead", "template", "html")
 
 MODE_TABLE = [
     TreeBuilder._m_initial,
@@ -2470,6 +2197,6 @@ MODE_TABLE = [
     TreeBuilder._m_after_body,
     TreeBuilder._m_in_frameset,
     TreeBuilder._m_after_frameset,
-    TreeBuilder._m_after_after_body,
+    TreeBuilder._m_after_body,
     TreeBuilder._m_after_after_frameset,
 ]

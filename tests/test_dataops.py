@@ -647,6 +647,22 @@ def test_contamination_check_ignores_file_order(tmp_path):
     assert shuffled == U.rows_and_hash(D.contamination_check(SF))
 
 
+def test_embedding_heads_ignore_file_order(tmp_path):
+    """kmeans_clusters (its init) and ann_topk_ivf (its centroid sample)
+    take their head vectors from the smallest vec_ids, so a
+    vec_id-shuffled copy of the embeddings gives the same result."""
+    import pyarrow.parquet as pq
+
+    from html_extract import dataops as D
+
+    emb = pq.read_table(f"{SF}/embeddings.parquet")
+    perm = np.random.RandomState(5).permutation(emb.num_rows)
+    pq.write_table(emb.take(perm), tmp_path / "embeddings.parquet")
+    for query in (D.kmeans_clusters, D.ann_topk_ivf):
+        shuffled = U.rows_and_hash(query(str(tmp_path)))
+        assert shuffled == U.rows_and_hash(query(SF)), query.__name__
+
+
 def test_pack_sequences_conserves_tokens(tmp_path):
     from html_extract import dataops as D
 
@@ -1216,8 +1232,7 @@ def test_kmeans_clusters_matches_single_frame_lloyd():
                           columns=["vec_id", "embedding"])
     emb = emb.sort_values("vec_id", ignore_index=True)
     X = np.stack(emb["embedding"].to_numpy()).astype(np.float64)
-    # same init: first k rows in FILE order (file is written sorted by
-    # vec_id in the testdata, so this equals the head)
+    # same init: the k smallest vec_ids
     C = X[:8].copy()
     for _ in range(8):
         d = -2.0 * (X @ C.T) + (C * C).sum(axis=1)[None, :]

@@ -1,0 +1,134 @@
+"""Differential parse check of two checkouts over the same inputs.
+
+    python tools/parse_diff.py A_CHECKOUT B_CHECKOUT
+
+Each side runs in a fresh interpreter that imports ``html_extract`` from
+its own checkout, and the two outputs must be identical.  The inputs,
+built by this checkout:
+
+- every tree-construction corpus input, parsed as its case says
+  (document or fragment, scripting on or off);
+- ``GENERATED`` seeded random markup strings, each parsed as a document
+  and as a fragment under a context from ``CONTEXTS``;
+- three 1 MiB ``perfbench.inputs.big_page`` pages, as bytes.
+
+Compared per input: the serialized tree (the corpus's test format), the
+quirks mode, the encoding, the error list (code, line and column, in
+order) and, for documents, ``extract_spans``' spans and meta
+(``parse_ns`` aside).  Prints the number of inputs compared and each one
+that differs; the exit code is 1 when any differs.
+"""
+
+import glob
+import os
+import pickle
+import random
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+GENERATED = 400
+SEED = 14
+PAGE_BYTES = 1 << 20
+CONTEXTS = ["body", "td", "tr", "table", "template", "select", "html",
+            "textarea", "pre", "svg path", "svg foreignObject", "math mi"]
+PIECES = list("<>&;/!-=\"' abxAB\t\n\x0c\x00") + [
+    "<!--", "-->", "<![CDATA[", "]]>", "</", "<!DOCTYPE html>", "&amp;",
+    "&#10;", "&#x41;", "<?pi x?>", "<html>", "</html>", "<head>", "<body>",
+    "</body>", "<p>", "</p>", "<b>", "</b>", "<i>", "</i>", "<a>", "</a>",
+    "<nobr>", "<div>", "</div>", "<li>", "</li>", "<dd>", "<dt>", "</dd>",
+    "<h1>", "<h2>", "</h1>", "<pre>", "</pre>", "<listing>", "<textarea>",
+    "</textarea>", "<title>", "<script>", "</script>", "<style>", "<form>",
+    "</form>", "<table>", "</table>", "<caption>", "</caption>", "<colgroup>",
+    "<col>", "<tbody>", "<tr>", "</tr>", "<td>", "</td>", "<th>", "<template>",
+    "</template>", "<select>", "<option>", "<optgroup>", "<input>", "<image>",
+    "<svg>", "</svg>", "<math>", "</math>", "<mi>", "<foreignObject>",
+    "<desc>", "<annotation-xml encoding=\"text/html\">", "<font color=1>",
+    "<frameset>", "<frame>", "</frameset>", "<noscript>", "<ruby>", "<rt>",
+    "<applet>", "</applet>", "<marquee>", "<button>", "<hr>", "<br>", "</br>",
+]
+
+
+def build_inputs():
+    """[(kind, data, arg)]: kind "doc" (arg = (scripting, processing
+    instructions)), "frag" (arg = context) or "bytes"."""
+    sys.path.insert(0, ROOT)
+    from perfbench.inputs import big_page
+    from tests.corpus_util import CORPUS, load_tree_tests
+
+    out = []
+    for path in sorted(glob.glob(str(CORPUS / "tree-construction" / "*.dat"))):
+        pi = os.path.basename(path).startswith("pi")
+        for case in load_tree_tests(path):
+            if case["fragment"]:
+                out.append(("frag", case["data"], case["fragment"]))
+            else:
+                out.append(("doc", case["data"], (case["script"] == "on", pi)))
+    rng = random.Random(SEED)
+    for _ in range(GENERATED):
+        data = "".join(rng.choice(PIECES) for _ in range(rng.randrange(80)))
+        out.append(("doc", data, (False, False)))
+        out.append(("frag", data, rng.choice(CONTEXTS)))
+    out.extend(("bytes", big_page(seed, PAGE_BYTES), (False, False)) for seed in (1, 7, 21))
+    return out
+
+
+def worker(checkout, inputs_path, out_path):
+    sys.path.insert(0, os.path.abspath(checkout))
+    import html_extract
+    from html_extract.extract import extract_spans
+    from html_extract.parser import Config, parse, parse_fragment
+    from tests.treefmt import serialize_test_format
+
+    with open(inputs_path, "rb") as f:
+        inputs = pickle.load(f)
+    results = []
+    for kind, data, arg in inputs:
+        if kind == "frag":
+            frag = parse_fragment(arg, data, config=Config(error_collection=True))
+            results.append(serialize_test_format(frag))
+            continue
+        scripting, pi = arg
+        out = parse(data, config=Config(error_collection=True, scripting=scripting,
+                                        processing_instructions=pi))
+        spans, meta = extract_spans(data)
+        meta = {k: v for k, v in meta.items() if k != "parse_ns"}
+        results.append((serialize_test_format(out.document), out.quirks_mode,
+                        out.encoding, out.errors, spans, meta))
+    with open(out_path, "wb") as f:
+        pickle.dump((html_extract.__file__, results), f)
+
+
+def main(a, b):
+    with tempfile.TemporaryDirectory() as tmp:
+        inputs = build_inputs()
+        inputs_path = os.path.join(tmp, "inputs.pkl")
+        with open(inputs_path, "wb") as f:
+            pickle.dump(inputs, f)
+        sides = []
+        for i, checkout in enumerate((a, b)):
+            out_path = os.path.join(tmp, f"out{i}.pkl")
+            subprocess.run([sys.executable, os.path.abspath(__file__), "--worker",
+                            checkout, inputs_path, out_path], check=True)
+            with open(out_path, "rb") as f:
+                module, results = pickle.load(f)
+            want = os.path.join(os.path.abspath(checkout), "html_extract")
+            if not module.startswith(want + os.sep):
+                raise SystemExit(f"{checkout}: imported {module}, not its own html_extract")
+            sides.append(results)
+    bad = [i for i, (x, y) in enumerate(zip(*sides)) if x != y]
+    for i in bad:
+        kind, data, arg = inputs[i]
+        print(f"DIFFERS: {kind} {arg!r} {data[:80]!r}")
+    counts = {k: sum(1 for x in inputs if x[0] == k) for k in ("doc", "frag", "bytes")}
+    print(f"compared {len(inputs)} inputs ({counts['doc']} documents, "
+          f"{counts['frag']} fragments, {counts['bytes']} big pages): {len(bad)} differ")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1] == "--worker":
+        worker(*sys.argv[2:5])
+    else:
+        sys.exit(main(*sys.argv[1:3]))
