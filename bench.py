@@ -93,11 +93,9 @@ def run_bench():
         hi = int(os.environ["GRAFT_POOL"])
     else:
         hi = max(2, NUM_CPUS * 3 // 4)
-    t0 = time.perf_counter()
-    from html_extract.dataops import _clean_schema
-    import glob as _glob
+    import glob
 
-    _first = sorted(_glob.glob(os.path.join(corpus_dir, "*.parquet")))[0]
+    corpus_files = sorted(glob.glob(os.path.join(corpus_dir, "*.parquet")))
 
     # Repeat headline + every query and report per-metric MEDIANS
     # (default 3 runs: this host has external ±25% contention swings,
@@ -138,11 +136,7 @@ def run_bench():
 
     for _ in range(runs):
         t0 = time.perf_counter()
-        ds = rd.read_parquet(
-            corpus_dir,
-            columns=["doc_id", "spans", "n_bytes"],
-            schema=_clean_schema(_first, ["doc_id", "spans", "n_bytes"]),
-        )
+        ds = D._read_files(corpus_files, ["doc_id", "spans", "n_bytes"])
         n_docs, n_spans, n_bytes = consume(
             P.extracted_dataset(ds=ds, concurrency=hi, batch_size=64)
         )

@@ -106,7 +106,6 @@ def _parse_once(text, config, encoding_name, certain, raw_had_meta_hook):
     )
     tb = TreeBuilder(
         tok,
-        processing_instructions=config.processing_instructions,
         collect_errors=config.error_collection,
         scripting=config.scripting,
     )
@@ -230,7 +229,6 @@ def parse_fragment(context, data, config=None) -> DocumentFragment:
     tb = TreeBuilder(
         tok,
         fragment_context=(ns, name),
-        processing_instructions=config.processing_instructions,
         collect_errors=config.error_collection,
         scripting=config.scripting,
     )

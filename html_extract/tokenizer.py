@@ -22,6 +22,13 @@ Tokens are plain tuples (cheapest to allocate and dispatch on):
 The whitespace/character split at emit time mirrors the reference's
 WhitespaceToken-iff-all-WS rule (Tokenizer.php:278-283, 309-315).
 
+End of input: only the main loop of ``Tokenizer.tokens()`` yields
+("EOF",), once input is exhausted (``self.p`` at the end), in every
+state; in the CDATA section state it first reports eof-in-cdata.  A
+scanner that runs out of input sets ``self.p`` to the end, reports its
+own EOF error (eof-in-tag, eof-in-comment, ...) and returns the tokens
+it finished.
+
 The tree builder owns a reference to this object and may write
 ``self.state`` (RCDATA/RAWTEXT/SCRIPT_DATA/PLAINTEXT switches,
 TreeConstructor.php:3861-3888) and ``self.last_start_tag`` (fragment
@@ -77,7 +84,9 @@ RE_ATTRVAL_SQ = re.compile(r"['&\x00]")
 RE_ATTRVAL_UQ = re.compile(r"[\t\n\x0c >&\x00\"'<=`]")
 RE_COMMENT = re.compile(r"[-<\x00]")
 RE_DOCTYPE_NAME_END = re.compile(r"[\t\n\x0c >\x00]")
+RE_DOCTYPE_ID = {'"': re.compile(r'["\x00>]'), "'": re.compile(r"['\x00>]")}
 RE_ALPHA_RUN = re.compile(r"[A-Za-z]+")
+RE_END_TAG_NAME = re.compile(r"</([A-Za-z]+)")
 # Attribute-less tag fast path: `<name>` / `</name>` with the name run
 # ending directly at '>'.  Names with other characters (hyphens, NULs,
 # digits-after-hyphen etc.) fall through to the general scanner.
@@ -134,17 +143,21 @@ class Tokenizer:
 
     # -- public API -----------------------------------------------------
     def tokens(self):
-        """Generator of token tuples, ending with ("EOF",)."""
+        """Generator of token tuples, ending with ("EOF",) (the one place
+        that yields it; see the module docstring)."""
         s, n = self.s, self.n
         intern = self.names.setdefault
+        text_states = self._TEXT_STATES
         while True:
             st = self.state
             p = self.p
+            if p >= n:
+                if st == CDATA_SECTION:
+                    self._err("eof-in-cdata", n)
+                yield EOF_TOK
+                return
+            c = s[p]
             if st == DATA:
-                if p >= n:
-                    yield EOF_TOK
-                    return
-                c = s[p]
                 if c == "<":
                     # inline fast paths for `<name>` / `</name>` (no
                     # attrs, name run straight to '>') — the dominant
@@ -170,11 +183,7 @@ class Tokenizer:
                                 name = name.translate(_LOWER)
                             yield ("EndTag", name)
                             continue
-                    # EOF_TOK, when emitted, is always last in the list
-                    toks = self._tag_open()
-                    yield from toks
-                    if toks and toks[-1] is EOF_TOK:
-                        return
+                    yield from self._tag_open()
                 elif c == "&":
                     self.p, text = self._charref(p, False)
                     yield _text_tok(text)
@@ -187,70 +196,73 @@ class Tokenizer:
                     q = m.start() if m else n
                     self.p = q
                     yield _text_tok(s[p:q])
-            elif st == RCDATA or st == RAWTEXT:
-                if p >= n:
-                    yield EOF_TOK
-                    return
-                rex = RE_RCDATA if st == RCDATA else RE_RAWTEXT
-                c = s[p]
-                if c == "&" and st == RCDATA:
+            elif st == CDATA_SECTION:
+                # entered from '<![CDATA[' in foreign content, or as the
+                # initial state; EOF is reported by the check above
+                q = s.find("]]>", p)
+                if q == -1:
+                    q = self.p = n
+                else:
+                    self.p = q + 3
+                    self.state = DATA
+                if q > p:
+                    yield _text_tok(s[p:q])
+            else:  # RCDATA, RAWTEXT, SCRIPT_DATA, PLAINTEXT
+                stop, lt, refs = text_states[st]
+                if c == "<" and lt is not None:
+                    yield from lt(self, p)
+                elif c == "&" and refs:
                     self.p, text = self._charref(p, False)
                     yield _text_tok(text)
-                elif c == "<":
-                    toks = self._text_lt()
-                    yield from toks
-                    if toks and toks[-1] is EOF_TOK:
-                        return
                 elif c == "\x00":
                     self._err("unexpected-null-character", p)
                     self.p = p + 1
                     yield ("Character", FFFD)
                 else:
-                    m = rex.search(s, p + 1)
+                    m = stop.search(s, p + 1)
                     q = m.start() if m else n
                     self.p = q
                     yield _text_tok(s[p:q])
-            elif st == SCRIPT_DATA:
-                if p >= n:
-                    yield EOF_TOK
-                    return
-                c = s[p]
-                if c == "<":
-                    toks = self._script_lt()
-                    yield from toks
-                    if toks and toks[-1] is EOF_TOK:
-                        return
-                elif c == "\x00":
-                    self._err("unexpected-null-character", p)
-                    self.p = p + 1
-                    yield ("Character", FFFD)
-                else:
-                    m = RE_RAWTEXT.search(s, p + 1)
-                    q = m.start() if m else n
-                    self.p = q
-                    yield _text_tok(s[p:q])
-            elif st == PLAINTEXT:
-                if p >= n:
-                    yield EOF_TOK
-                    return
-                m = RE_PLAINTEXT.search(s, p)
-                q = m.start() if m else n
-                if q > p:
-                    self.p = q
-                    yield _text_tok(s[p:q])
-                else:
-                    self._err("unexpected-null-character", p)
-                    self.p = p + 1
-                    yield ("Character", FFFD)
-            elif st == CDATA_SECTION:
-                # Used directly only by conformance tests; normal flow enters
-                # CDATA via markup-declaration-open.
-                for t in self._cdata(p):
-                    yield t
-                    if t is EOF_TOK:
-                        return
-            else:  # pragma: no cover
-                raise AssertionError(f"bad tokenizer state {st}")
+
+    def _scan(self, p, stop, bad="", code=None):
+        """Scan a run from ``s[p]`` to the first ``stop`` match that ends
+        it; returns (text, end), with ``end == n`` at EOF.
+
+        Within the run, NUL becomes U+FFFD (unexpected-null-character),
+        '&' (matched only by the attribute-value patterns) a character
+        reference, and a character in ``bad`` stays after a ``code``
+        error.  The one slow path of tag, attribute and DOCTYPE names,
+        attribute values, DOCTYPE identifiers, comments and escaped
+        script data.
+        """
+        s, n = self.s, self.n
+        parts = []
+        while True:
+            m = stop.search(s, p)
+            if m is None:
+                parts.append(s[p:n])
+                return "".join(parts), n
+            q = m.start()
+            parts.append(s[p:q])
+            c = s[q]
+            if c == "\x00":
+                self._err("unexpected-null-character", q)
+                parts.append(FFFD)
+                p = q + 1
+            elif c == "&":
+                p, text = self._charref(q, True)
+                parts.append(text)
+            elif c in bad:
+                self._err(code, q)
+                parts.append(c)
+                p = q + 1
+            else:
+                return "".join(parts), q
+
+    def _eof_in_tag(self):
+        self._err("eof-in-tag", self.n)
+        self.p = self.n
+        return []
 
     # -- '<' in data state ---------------------------------------------
     def _tag_open(self):
@@ -259,7 +271,7 @@ class Tokenizer:
         if p >= n:
             self._err("eof-before-tag-name", p)
             self.p = n
-            return [("Character", "<"), EOF_TOK]
+            return [("Character", "<")]
         c = s[p]
         if c == "!":
             return self._markup_declaration(p + 1)
@@ -279,7 +291,7 @@ class Tokenizer:
         if p >= n:
             self._err("eof-before-tag-name", p)
             self.p = n
-            return [("Character", "</"), EOF_TOK]
+            return [("Character", "</")]
         c = s[p]
         if c in _ALPHA:
             return self._scan_tag(p, False)
@@ -295,72 +307,41 @@ class Tokenizer:
         """Parse a tag from the first name character; emits the tag token."""
         s, n = self.s, self.n
         m = RE_TAGNAME_END.search(s, p)
-        if m is None:
-            self._err("eof-in-tag", n)
-            self.p = n
-            return [EOF_TOK]
-        q = m.start()
-        if s[q] != "\x00":  # fast path: no NUL in the name
-            name = ascii_lower(s[p:q])
+        q = m.start() if m is not None else n
+        if q < n and s[q] != "\x00":  # fast path: no NUL in the name
+            name = s[p:q]
         else:
-            name_parts = []
-            while True:
-                name_parts.append(s[p:q])
-                if s[q] == "\x00":
-                    self._err("unexpected-null-character", q)
-                    name_parts.append(FFFD)
-                    p = q + 1
-                    m = RE_TAGNAME_END.search(s, p)
-                    if m is None:
-                        self._err("eof-in-tag", n)
-                        self.p = n
-                        return [EOF_TOK]
-                    q = m.start()
-                    continue
-                break
-            name = ascii_lower("".join(name_parts))
-        attrs, self_closing, endp, eof = self._scan_attrs(q)
-        if eof:
-            self.p = n
-            return [EOF_TOK]
-        self.p = endp
-        if is_start:
-            name = self.names.setdefault(name, name)
-            self.last_start_tag = name
-            return [("StartTag", name, attrs or EMPTY_MAP, self_closing)]
-        if attrs:
-            self._err("end-tag-with-attributes", q)
-        if self_closing:
-            self._err("end-tag-with-trailing-solidus", endp - 1)
-        return [("EndTag", name)]
+            name, q = self._scan(p, RE_TAGNAME_END)
+            if q >= n:
+                return self._eof_in_tag()
+        return self._scan_attrs(ascii_lower(name), q, is_start)
 
-    def _scan_attrs(self, p):
-        """From 'before attribute name'; returns (attrs, self_closing, end, eof).
+    def _scan_attrs(self, name, p, is_start):
+        """From 'before attribute name' to the end of the tag ``name``;
+        returns the tag token, or no token at EOF (eof-in-tag).
 
         Always returns to the data state on '>' (per spec, which is why the
         tree builder's RCDATA/RAWTEXT switches happen after this returns).
         """
         s, n = self.s, self.n
+        start = p
         attrs: dict[str, str] = {}
+        self_closing = False
         while True:
             while p < n and s[p] in WS_SET:
                 p += 1
             if p >= n:
-                self._err("eof-in-tag", n)
-                return attrs, False, n, True
+                return self._eof_in_tag()
             c = s[p]
             if c == ">":
-                self.state = DATA
-                return attrs, False, p + 1, False
+                break
             if c == "/":
-                if p + 1 < n and s[p + 1] == ">":
-                    self.state = DATA
-                    return attrs, True, p + 2, False
-                if p + 1 >= n:
-                    self._err("eof-in-tag", n)
-                    return attrs, False, n, True
-                self._err("unexpected-solidus-in-tag", p)
                 p += 1
+                if p < n and s[p] == ">":
+                    self_closing = True
+                    break
+                if p < n:
+                    self._err("unexpected-solidus-in-tag", p - 1)
                 continue
             # attribute name
             m = RE_ATTRNAME_END.search(s, p if c != "=" else p + 1)
@@ -370,43 +351,26 @@ class Tokenizer:
                 aname = ascii_lower(s[p:q])
                 p = q
             else:
-                parts = []
+                prefix = ""
                 if c == "=":
                     self._err(
                         "unexpected-equals-sign-before-attribute-name", p
                     )
-                    parts.append("=")
+                    prefix = "="
                     p += 1
-                while True:
-                    m = RE_ATTRNAME_END.search(s, p)
-                    if m is None:
-                        parts.append(s[p:n])
-                        self._err("eof-in-tag", n)
-                        return attrs, False, n, True
-                    q = m.start()
-                    parts.append(s[p:q])
-                    cq = s[q]
-                    if cq == "\x00":
-                        self._err("unexpected-null-character", q)
-                        parts.append(FFFD)
-                        p = q + 1
-                    elif cq in "\"'<":
-                        self._err("unexpected-character-in-attribute-name", q)
-                        parts.append(cq)
-                        p = q + 1
-                    else:
-                        p = q
-                        break
-                aname = ascii_lower("".join(parts))
+                aname, p = self._scan(
+                    p, RE_ATTRNAME_END, "\"'<", "unexpected-character-in-attribute-name"
+                )
+                if p >= n:
+                    return self._eof_in_tag()
+                aname = ascii_lower(prefix + aname)
             # after attribute name
             while p < n and s[p] in WS_SET:
                 p += 1
             if p >= n:
-                self._err("eof-in-tag", n)
-                return attrs, False, n, True
-            c = s[p]
-            if c != "=":
-                # attribute with empty value; reprocess c at loop top
+                return self._eof_in_tag()
+            if s[p] != "=":
+                # attribute with empty value; reprocess s[p] at loop top
                 self._store_attr(attrs, aname, "", p)
                 continue
             # before attribute value
@@ -414,14 +378,12 @@ class Tokenizer:
             while p < n and s[p] in WS_SET:
                 p += 1
             if p >= n:
-                self._err("eof-in-tag", n)
-                return attrs, False, n, True
+                return self._eof_in_tag()
             c = s[p]
             if c == ">":
                 self._err("missing-attribute-value", p)
                 self._store_attr(attrs, aname, "", p)
-                self.state = DATA
-                return attrs, False, p + 1, False
+                break
             if c == '"' or c == "'":
                 rex = RE_ATTRVAL_DQ if c == '"' else RE_ATTRVAL_SQ
                 p += 1
@@ -431,62 +393,34 @@ class Tokenizer:
                     q = m.start()
                     self._store_attr(attrs, aname, s[p:q], q)
                     p = q + 1
-                    if p < n and s[p] not in WS_SET and s[p] not in "/>":
-                        self._err("missing-whitespace-between-attributes", p)
-                    continue
-                vparts = []
-                while True:
-                    m = rex.search(s, p)
-                    if m is None:
-                        vparts.append(s[p:n])
-                        self._err("eof-in-tag", n)
-                        return attrs, False, n, True
-                    q = m.start()
-                    vparts.append(s[p:q])
-                    cq = s[q]
-                    if cq == c:
-                        p = q + 1
-                        break
-                    if cq == "&":
-                        p, text = self._charref(q, True)
-                        vparts.append(text)
-                    else:  # NUL
-                        self._err("unexpected-null-character", q)
-                        vparts.append(FFFD)
-                        p = q + 1
-                self._store_attr(attrs, aname, "".join(vparts), p)
+                else:
+                    value, q = self._scan(p, rex)
+                    if q >= n:
+                        return self._eof_in_tag()
+                    p = q + 1
+                    self._store_attr(attrs, aname, value, p)
                 # after attribute value (quoted)
                 if p < n and s[p] not in WS_SET and s[p] not in "/>":
                     self._err("missing-whitespace-between-attributes", p)
                 continue
-            # unquoted value
-            vparts = []
-            while True:
-                m = RE_ATTRVAL_UQ.search(s, p)
-                if m is None:
-                    vparts.append(s[p:n])
-                    self._err("eof-in-tag", n)
-                    return attrs, False, n, True
-                q = m.start()
-                vparts.append(s[p:q])
-                cq = s[q]
-                if cq == "&":
-                    p, text = self._charref(q, True)
-                    vparts.append(text)
-                elif cq == "\x00":
-                    self._err("unexpected-null-character", q)
-                    vparts.append(FFFD)
-                    p = q + 1
-                elif cq in "\"'<=`":
-                    self._err(
-                        "unexpected-character-in-unquoted-attribute-value", q
-                    )
-                    vparts.append(cq)
-                    p = q + 1
-                else:  # whitespace or '>'
-                    p = q
-                    break
-            self._store_attr(attrs, aname, "".join(vparts), p)
+            value, p = self._scan(
+                p, RE_ATTRVAL_UQ, "\"'<=`", "unexpected-character-in-unquoted-attribute-value"
+            )
+            if p >= n:
+                return self._eof_in_tag()
+            self._store_attr(attrs, aname, value, p)
+        # s[p] is the tag's '>'
+        self.p = p + 1
+        self.state = DATA
+        if is_start:
+            name = self.names.setdefault(name, name)
+            self.last_start_tag = name
+            return [("StartTag", name, attrs or EMPTY_MAP, self_closing)]
+        if attrs:
+            self._err("end-tag-with-attributes", start)
+        if self_closing:
+            self._err("end-tag-with-trailing-solidus", p)
+        return [("EndTag", name)]
 
     def _store_attr(self, attrs, name, value, pos):
         if name in attrs:
@@ -578,7 +512,9 @@ class Tokenizer:
             return self._doctype(p + 7)
         if s.startswith("[CDATA[", p):
             if self.cdata_allowed():
-                return self._cdata(p + 7)
+                self.p = p + 7
+                self.state = CDATA_SECTION
+                return []
             self._err("cdata-in-html-content", p)
             return self._bogus_comment(p)
         self._err("incorrectly-opened-comment", p)
@@ -587,17 +523,16 @@ class Tokenizer:
     def _bogus_comment(self, p):
         s, n = self.s, self.n
         i = s.find(">", p)
-        eof = i == -1
-        data = s[p:n] if eof else s[p:i]
-        self.p = n if eof else i + 1
+        if i == -1:
+            i = n
+        data = s[p:i]
+        self.p = min(i + 1, n)
         if "\x00" in data:
             self._err("unexpected-null-character", p)
             data = data.replace("\x00", FFFD)
         if self.processing_instructions and data.startswith("?"):
-            tok = ("PI", data)
-        else:
-            tok = ("Comment", data)
-        return [tok, EOF_TOK] if eof else [tok]
+            return [("PI", data)]
+        return [("Comment", data)]
 
     # -- comments (states 43-52) ---------------------------------------
     def _comment(self, p):
@@ -609,8 +544,7 @@ class Tokenizer:
         while True:
             if i >= n:
                 self._err("eof-in-comment", n)
-                self.p = n
-                return [("Comment", "".join(buf)), EOF_TOK]
+                break
             c = s[i]
             if state == 0:
                 if c == "-":
@@ -618,8 +552,8 @@ class Tokenizer:
                     i += 1
                 elif c == ">":
                     self._err("abrupt-closing-of-empty-comment", i)
-                    self.p = i + 1
-                    return [("Comment", "")]
+                    i += 1
+                    break
                 else:
                     state = 2
             elif state == 1:
@@ -628,31 +562,21 @@ class Tokenizer:
                     i += 1
                 elif c == ">":
                     self._err("abrupt-closing-of-empty-comment", i)
-                    self.p = i + 1
-                    return [("Comment", "")]
+                    i += 1
+                    break
                 else:
                     buf.append("-")
                     state = 2
             elif state == 2:
-                m = RE_COMMENT.search(s, i)
-                if m is None:
-                    buf.append(s[i:n])
-                    i = n
-                    continue
-                j = m.start()
-                buf.append(s[i:j])
-                c = s[j]
-                if c == "<":
-                    buf.append("<")
-                    i = j + 1
-                    state = 3
-                elif c == "-":
-                    i = j + 1
-                    state = 7
-                else:
-                    self._err("unexpected-null-character", j)
-                    buf.append(FFFD)
-                    i = j + 1
+                text, i = self._scan(i, RE_COMMENT)
+                buf.append(text)
+                if i < n:  # at '<' or '-'
+                    if s[i] == "<":
+                        buf.append("<")
+                        state = 3
+                    else:
+                        state = 7
+                    i += 1
             elif state == 3:
                 if c == "!":
                     buf.append("!")
@@ -688,8 +612,8 @@ class Tokenizer:
                     state = 2
             elif state == 8:
                 if c == ">":
-                    self.p = i + 1
-                    return [("Comment", "".join(buf))]
+                    i += 1
+                    break
                 elif c == "!":
                     i += 1
                     state = 9
@@ -706,264 +630,158 @@ class Tokenizer:
                     state = 7
                 elif c == ">":
                     self._err("incorrectly-closed-comment", i)
-                    self.p = i + 1
-                    return [("Comment", "".join(buf))]
+                    i += 1
+                    break
                 else:
                     buf.append("--!")
                     state = 2
-
-    # -- CDATA sections -------------------------------------------------
-    def _cdata(self, p):
-        s, n = self.s, self.n
-        i = s.find("]]>", p)
-        if i == -1:
-            self._err("eof-in-cdata", n)
-            self.p = n
-            out = []
-            if p < n:
-                out.append(_text_tok(s[p:n]))
-            out.append(EOF_TOK)
-            return out
-        self.p = i + 3
-        self.state = DATA
-        return [_text_tok(s[p:i])] if i > p else []
+        self.p = i
+        return [("Comment", "".join(buf))]
 
     # -- DOCTYPE (states 53-67) -----------------------------------------
-    def _doctype(self, p):
+    def _doctype(self, i):
+        """From after '<!DOCTYPE'; every path ends in ``_doctype_end``."""
         s, n = self.s, self.n
-        i = p
         if i < n and s[i] not in WS_SET and s[i] != ">":
             self._err("missing-whitespace-before-doctype-name", i)
         while i < n and s[i] in WS_SET:
             i += 1
-        if i >= n:
-            self._err("eof-in-doctype", n)
-            self.p = n
-            return [("Doctype", None, None, None, True), EOF_TOK]
-        if s[i] == ">":
-            self._err("missing-doctype-name", i)
-            self.p = i + 1
-            return [("Doctype", None, None, None, True)]
-        # DOCTYPE name
-        parts = []
-        while True:
-            m = RE_DOCTYPE_NAME_END.search(s, i)
-            if m is None:
-                parts.append(s[i:n])
-                self._err("eof-in-doctype", n)
-                self.p = n
-                return [
-                    ("Doctype", ascii_lower("".join(parts)), None, None, True),
-                    EOF_TOK,
-                ]
-            q = m.start()
-            parts.append(s[i:q])
-            if s[q] == "\x00":
-                self._err("unexpected-null-character", q)
-                parts.append(FFFD)
-                i = q + 1
-                continue
-            i = q
-            break
-        name = ascii_lower("".join(parts))
+        if i >= n or s[i] == ">":
+            return self._doctype_end(i, None, code="missing-doctype-name")
+        name, i = self._scan(i, RE_DOCTYPE_NAME_END)
+        name = ascii_lower(name)
         # after DOCTYPE name
         while i < n and s[i] in WS_SET:
             i += 1
-        if i >= n:
-            self._err("eof-in-doctype", n)
-            self.p = n
-            return [("Doctype", name, None, None, True), EOF_TOK]
-        if s[i] == ">":
-            self.p = i + 1
-            return [("Doctype", name, None, None, False)]
+        if i >= n or s[i] == ">":
+            return self._doctype_end(i, name)
         kw = ascii_lower(s[i : i + 6])
+        if kw != "public" and kw != "system":
+            return self._doctype_end(
+                i, name, code="invalid-character-sequence-after-doctype-name", bogus=True
+            )
+        # after the PUBLIC/SYSTEM keyword
+        i += 6
+        if i < n and s[i] in "\"'":
+            self._err(f"missing-whitespace-after-doctype-{kw}-keyword", i)
+        while i < n and s[i] in WS_SET:
+            i += 1
+        if i >= n or s[i] == ">":
+            return self._doctype_end(i, name, code=f"missing-doctype-{kw}-identifier")
+        if s[i] not in "\"'":
+            return self._doctype_end(
+                i, name, code=f"missing-quote-before-doctype-{kw}-identifier", bogus=True
+            )
+        ident, i = self._scan(i + 1, RE_DOCTYPE_ID[s[i]])
+        public, system = (ident, None) if kw == "public" else (None, ident)
+        if i >= n or s[i] == ">":
+            return self._doctype_end(
+                i, name, public, system, code=f"abrupt-doctype-{kw}-identifier"
+            )
+        i += 1
         if kw == "public":
-            return self._doctype_id(name, i + 6, True)
-        if kw == "system":
-            return self._doctype_id(name, i + 6, False)
-        self._err("invalid-character-sequence-after-doctype-name", i)
-        return self._bogus_doctype(name, None, None, True, i)
-
-    def _doctype_id(self, name, i, is_public):
-        """After the PUBLIC/SYSTEM keyword."""
-        s, n = self.s, self.n
-        which = "public" if is_public else "system"
-        if i < n and s[i] not in WS_SET:
-            if s[i] in "\"'":
-                self._err(f"missing-whitespace-after-doctype-{which}-keyword", i)
-            # other cases fall through to the checks below
-        while i < n and s[i] in WS_SET:
-            i += 1
-        if i >= n:
-            self._err("eof-in-doctype", n)
-            self.p = n
-            return [("Doctype", name, None, None, True), EOF_TOK]
-        c = s[i]
-        if c == ">":
-            self._err(f"missing-doctype-{which}-identifier", i)
-            self.p = i + 1
-            return [("Doctype", name, None, None, True)]
-        if c not in "\"'":
-            self._err(f"missing-quote-before-doctype-{which}-identifier", i)
-            return self._bogus_doctype(name, None, None, True, i)
-        ident, i, closed, eof = self._quoted_id(i)
-        if eof:
-            self.p = n
-            pub = ident if is_public else None
-            sysid = None if is_public else ident
-            return [("Doctype", name, pub, sysid, True), EOF_TOK]
-        if not closed:  # '>' hit inside the identifier
-            self._err(f"abrupt-doctype-{which}-identifier", i)
-            self.p = i + 1
-            pub = ident if is_public else None
-            sysid = None if is_public else ident
-            return [("Doctype", name, pub, sysid, True)]
-        if not is_public:
-            return self._after_system(name, None, ident, i)
-        # after public identifier
-        public = ident
-        had_ws = i < n and s[i] in WS_SET
-        while i < n and s[i] in WS_SET:
-            i += 1
-        if i >= n:
-            self._err("eof-in-doctype", n)
-            self.p = n
-            return [("Doctype", name, public, None, True), EOF_TOK]
-        c = s[i]
-        if c == ">":
-            self.p = i + 1
-            return [("Doctype", name, public, None, False)]
-        if c in "\"'":
+            # after public identifier: an optional system identifier
+            had_ws = i < n and s[i] in WS_SET
+            while i < n and s[i] in WS_SET:
+                i += 1
+            if i >= n or s[i] == ">":
+                return self._doctype_end(i, name, public)
+            if s[i] not in "\"'":
+                return self._doctype_end(
+                    i, name, public,
+                    code="missing-quote-before-doctype-system-identifier", bogus=True,
+                )
             if not had_ws:
                 self._err(
                     "missing-whitespace-between-doctype-public-and-system-identifiers",
                     i,
                 )
-            system, i, closed, eof = self._quoted_id(i)
-            if eof:
-                self.p = n
-                return [("Doctype", name, public, system, True), EOF_TOK]
-            if not closed:
-                self._err("abrupt-doctype-system-identifier", i)
-                self.p = i + 1
-                return [("Doctype", name, public, system, True)]
-            return self._after_system(name, public, system, i)
-        self._err("missing-quote-before-doctype-system-identifier", i)
-        return self._bogus_doctype(name, public, None, True, i)
-
-    def _after_system(self, name, public, system, i):
-        s, n = self.s, self.n
+            system, i = self._scan(i + 1, RE_DOCTYPE_ID[s[i]])
+            if i >= n or s[i] == ">":
+                return self._doctype_end(
+                    i, name, public, system, code="abrupt-doctype-system-identifier"
+                )
+            i += 1
+        # after system identifier
         while i < n and s[i] in WS_SET:
             i += 1
-        if i >= n:
-            self._err("eof-in-doctype", n)
-            self.p = n
-            return [("Doctype", name, public, system, True), EOF_TOK]
-        if s[i] == ">":
-            self.p = i + 1
-            return [("Doctype", name, public, system, False)]
-        self._err("unexpected-character-after-doctype-system-identifier", i)
-        # bogus doctype WITHOUT force-quirks (spec)
-        return self._bogus_doctype(name, public, system, False, i)
+        if i < n and s[i] != ">":
+            self._err("unexpected-character-after-doctype-system-identifier", i)
+            # bogus doctype WITHOUT force-quirks (spec)
+            return self._doctype_end(i, name, public, system, bogus=True)
+        return self._doctype_end(i, name, public, system)
 
-    def _quoted_id(self, i):
-        """Parse a quoted identifier at s[i] in {'\"', \"'\"}.
+    def _doctype_end(self, i, name, public=None, system=None, code=None, bogus=False):
+        """The one DOCTYPE exit: emit the token at ``s[i] == '>'`` or at EOF.
 
-        Returns (ident, next_pos, closed_by_quote, eof).  next_pos is after
-        the closing quote, or at the '>' when closed_by_quote is False.
+        ``code`` is a parse error at ``s[i]``, which forces quirks.  A bogus
+        DOCTYPE first skips to the next '>' (EOF there is no error); EOF
+        anywhere else is eof-in-doctype and forces quirks.
         """
-        s, n = self.s, self.n
-        quote = s[i]
-        i += 1
-        parts = []
-        while i < n:
-            c = s[i]
-            if c == quote:
-                return "".join(parts), i + 1, True, False
-            if c == ">":
-                return "".join(parts), i, False, False
-            if c == "\x00":
-                self._err("unexpected-null-character", i)
-                parts.append(FFFD)
-            else:
-                parts.append(c)
-            i += 1
-        self._err("eof-in-doctype", n)
-        return "".join(parts), n, False, True
+        n = self.n
+        quirks = code is not None
+        if code is not None and i < n:
+            self._err(code, i)
+        if bogus:
+            i = self.s.find(">", i)
+            if i == -1:
+                i = n
+        elif i >= n:
+            self._err("eof-in-doctype", n)
+            quirks = True
+        self.p = min(i + 1, n)
+        return [("Doctype", name, public, system, quirks)]
 
-    def _bogus_doctype(self, name, public, system, force_quirks, i):
-        s, n = self.s, self.n
-        j = s.find(">", i)
-        if j == -1:
-            self.p = n
-            return [("Doctype", name, public, system, force_quirks), EOF_TOK]
-        self.p = j + 1
-        return [("Doctype", name, public, system, force_quirks)]
-
-    # -- '<' in RCDATA / RAWTEXT ---------------------------------------
-    def _text_lt(self):
-        """RCDATA/RAWTEXT less-than-sign handling (appropriate end tag)."""
-        s, n = self.s, self.n
-        p = self.p
-        if p + 1 < n and s[p + 1] == "/":
-            return self._try_appropriate_end_tag(p)
-        self.p = p + 1
-        return [("Character", "<")]
+    # -- '<' in RCDATA / RAWTEXT / script data ----------------------------
+    def _lt(self, p):
+        """At '<': an appropriate end tag, else '</' or '<' as text."""
+        toks = self._try_appropriate_end_tag(p)
+        if toks is None:
+            k = 2 if self.s.startswith("</", p) else 1
+            self.p = p + k
+            toks = [("Character", self.s[p : p + k])]
+        return toks
 
     def _try_appropriate_end_tag(self, p):
-        """At '<' of '</'; emit an EndTag if it names the last start tag,
-        else the literal text.  Shared by RCDATA/RAWTEXT/script-data."""
+        """At '<': the tokens of an end tag that names the last start tag,
+        or None when ``s[p:]`` does not start one.
+
+        EOF in its attribute section: the spec's before-attribute-name
+        state emits eof-in-tag and EOF only, so the consumed '</name ...'
+        characters are dropped (no token).
+        """
         s, n = self.s, self.n
-        m = RE_ALPHA_RUN.match(s, p + 2)
-        if m is not None:
-            name = ascii_lower(m.group())
-            q = m.end()
-            nxt = s[q] if q < n else ""
-            if name == self.last_start_tag and (nxt in WS_SET or nxt in "/>"):
-                attrs, self_closing, endp, eof = self._scan_attrs(q)
-                if eof:
-                    # EOF in the attribute section of an appropriate end
-                    # tag: the spec's before-attribute-name state emits
-                    # eof-in-tag (done by _scan_attrs) and EOF only — the
-                    # consumed '</name ...' characters are dropped.
-                    self.p = n
-                    return [EOF_TOK]
-                self.p = endp
-                if attrs:
-                    self._err("end-tag-with-attributes", q)
-                if self_closing:
-                    self._err("end-tag-with-trailing-solidus", endp - 1)
-                # _scan_attrs set state to DATA on '>'
-                return [("EndTag", name)]
-        # not an appropriate end tag: '</' is text
-        self.p = p + 2
-        return [("Character", "</")]
+        m = RE_END_TAG_NAME.match(s, p)
+        if m is None:
+            return None
+        name = ascii_lower(m.group(1))
+        q = m.end()
+        if name != self.last_start_tag or (
+            q < n and s[q] not in WS_SET and s[q] not in "/>"
+        ):
+            return None
+        return self._scan_attrs(name, q, False)
 
     # -- script data: '<' and the escaped family ------------------------
-    def _script_lt(self):
+    def _script_lt(self, p):
         s, n = self.s, self.n
-        p = self.p
-        c = s[p + 1] if p + 1 < n else ""
-        if c == "/":
-            return self._try_appropriate_end_tag(p)
-        if c == "!":
-            # script data escape start
-            out = [("Character", "<!")]
-            i = p + 2
-            dashes = 0
-            while dashes < 2 and i < n and s[i] == "-":
-                out.append(("Character", "-"))
-                i += 1
-                dashes += 1
-            self.p = i
-            if dashes == 2:
-                # after '<!--' the spec is in script-data-escaped-dash-dash
-                # (escape-start -> escape-start-dash -> escaped-dash-dash),
-                # so an immediate '>' returns to plain script data.
-                return out + self._script_escaped(i, state=8)
-            return out
-        self.p = p + 1
-        return [("Character", "<")]
+        if not s.startswith("<!", p):
+            return self._lt(p)
+        # script data escape start
+        out = [("Character", "<!")]
+        i = p + 2
+        dashes = 0
+        while dashes < 2 and i < n and s[i] == "-":
+            out.append(("Character", "-"))
+            i += 1
+            dashes += 1
+        self.p = i
+        if dashes == 2:
+            # after '<!--' the spec is in script-data-escaped-dash-dash
+            # (escape-start -> escape-start-dash -> escaped-dash-dash),
+            # so an immediate '>' returns to plain script data.
+            return out + self._script_escaped(i, state=8)
+        return out
 
     def _script_escaped(self, i, state=2):
         """Script-data-escaped + double-escaped states (spec 13.2.5.20-29).
@@ -986,7 +804,6 @@ class Tokenizer:
                 self._err("eof-in-script-html-comment-like-text", n)
                 flush()
                 self.p = n
-                out.append(EOF_TOK)
                 return out
             c = s[i]
             if state == 8:  # (double-)escaped dash dash
@@ -1020,84 +837,42 @@ class Tokenizer:
                 i += 1
                 state = 7
                 continue
-            if c == "\x00":
-                self._err("unexpected-null-character", i)
-                text.append(FFFD)
-                i += 1
-                continue
             if c != "<":
-                m = RE_SCRIPT_ESCAPED.search(s, i + 1)
-                q = m.start() if m else n
-                text.append(s[i:q])
-                i = q
+                run, i = self._scan(i, RE_SCRIPT_ESCAPED)
+                text.append(run)
                 continue
             # '<'
-            if not double:
-                nxt = s[i + 1] if i + 1 < n else ""
-                if nxt == "/":
-                    # escaped end tag open
-                    m = RE_ALPHA_RUN.match(s, i + 2)
-                    if m is not None:
-                        name = ascii_lower(m.group())
-                        q = m.end()
-                        after = s[q] if q < n else ""
-                        if name == self.last_start_tag and (
-                            after in WS_SET or after in "/>"
-                        ):
-                            flush()
-                            self.p = i
-                            out.extend(self._try_appropriate_end_tag(i))
-                            return out
-                    text.append("</")
-                    i += 2
-                    continue
-                if nxt in _ALPHA:
-                    # double escape start
-                    m = RE_ALPHA_RUN.match(s, i + 1)
-                    q = m.end()
-                    word = ascii_lower(m.group())
-                    after = s[q] if q < n else ""
-                    text.append(s[i:q])
-                    i = q
-                    if after in WS_SET or after in "/>":
-                        text.append(after)
-                        i += 1
-                        if word == "script":
-                            double = True
-                    continue
-                text.append("<")
-                i += 1
+            nxt = s[i + 1] if i + 1 < n else ""
+            if nxt == "/" and not double:
+                # escaped end tag open
+                toks = self._try_appropriate_end_tag(i)
+                if toks is not None:
+                    flush()
+                    out.extend(toks)
+                    return out
+            # double escape start '<script' (escaped) or end '</script'
+            # (double escaped); any other '<' or '</' is text
+            j = i + 2 if nxt == "/" else i + 1
+            m = RE_ALPHA_RUN.match(s, j)
+            if m is None or (nxt == "/") != double:
+                text.append(s[i:j])
+                i = j
                 continue
-            else:
-                nxt = s[i + 1] if i + 1 < n else ""
-                if nxt == "/":
-                    # double escape end
-                    m = RE_ALPHA_RUN.match(s, i + 2)
-                    text.append("</")
-                    i += 2
-                    if m is not None:
-                        q = m.end()
-                        word = ascii_lower(m.group())
-                        after = s[q] if q < n else ""
-                        text.append(s[i:q])
-                        i = q
-                        if after in WS_SET or after in "/>":
-                            text.append(after)
-                            i += 1
-                            if word == "script":
-                                double = False
-                    continue
-                text.append("<")
+            q = m.end()
+            after = s[q] if q < n else ""
+            text.append(s[i:q])
+            i = q
+            if after in WS_SET or after in "/>":
+                text.append(after)
                 i += 1
-                continue
+                if ascii_lower(m.group()) == "script":
+                    double = not double
 
-
-def tokenize(
-    text: str,
-    state: int = DATA,
-    last_start_tag: str | None = None,
-    **kw,
-):
-    """Convenience: full token list for ``text`` (tests / debugging)."""
-    t = Tokenizer(text, state=state, last_start_tag=last_start_tag, **kw)
-    return list(t.tokens()), t.errors
+    # state -> (stop regex, '<' handler or None, '&' starts a character
+    # reference): the rows of the text states' one branch in ``tokens``
+    _TEXT_STATES = {
+        RCDATA: (RE_RCDATA, _lt, True),
+        RAWTEXT: (RE_RAWTEXT, _lt, False),
+        SCRIPT_DATA: (RE_RAWTEXT, _script_lt, False),
+        PLAINTEXT: (RE_PLAINTEXT, None, False),
+    }

@@ -218,7 +218,6 @@ class TreeBuilder:
         tokenizer,
         document=None,
         fragment_context=None,
-        processing_instructions=False,
         collect_errors=True,
         scripting=False,
     ):
@@ -237,7 +236,6 @@ class TreeBuilder:
         self.foster_parenting = False
         self.pending_table_text = []
         self.errors = []
-        self.processing_instructions = processing_instructions
         self.collect_errors = collect_errors
         self.scripting = scripting
         self.fragment_context = fragment_context  # (ns, name) or None
@@ -500,10 +498,11 @@ class TreeBuilder:
     def _insert_comment(self, data, place=None, is_pi=False):
         if place is None:
             place = self._appropriate_place()
-        if is_pi and self.processing_instructions and data.startswith("?"):
-            # reference parity: PI tokens become real PI nodes when the
-            # config enables them and the target is a valid XML target
-            # (TreeConstructor.php insertCommentToken; SURVEY.md C14)
+        if is_pi:
+            # reference parity: a PI token (the tokenizer emits one only
+            # when the config enables them) becomes a real PI node when
+            # the target is a valid XML target (TreeConstructor.php
+            # insertCommentToken; SURVEY.md C14)
             body = data[1:]
             m = _re.match(r"([^\t\n\x0c\r ]*)[\t\n\x0c\r ]?(.*)", body, _re.S)
             target, rest = m.group(1), m.group(2)

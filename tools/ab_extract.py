@@ -20,9 +20,12 @@ Every measurement is a fresh process that imports ``html_extract`` from
 its checkout, freezes the heap (``gc.freeze()``), runs one untimed
 warm-up and then 3 timed jobs, each preceded by an untimed
 ``gc.collect()`` and ending with a timed one, as ``perfbench/run.py``
-does.  5 rounds (seed 42) alternate which side runs first.  Printed per
-job: each side's median over the rounds of its per-process median, the
-ratio A/B (> 1: B is faster), how many rounds B won, each side's median
+does.  ``ROUNDS`` rounds (seed 42) alternate which side runs first; ten
+pairs is the fewest that can back a claimed gain (nine wins of ten, and
+medians further apart than A's interquartile range).  Printed per job:
+each side's median over the rounds of its per-process median with the
+quartiles of those per-process medians in brackets, the ratio A/B (> 1:
+B is faster), how many of the pairs B won, each side's median
 peak RSS (the worker process's ``ru_maxrss``: imports, inputs and the
 jobs, so for ``bigdoc`` mostly the page's DOM), and whether both sides
 produced the same output: the same spans and meta (``parse_ns``
@@ -43,7 +46,7 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BATCH_SIZE = 64
-ROUNDS = 5
+ROUNDS = 10
 REPS = 3  # timed jobs per process
 SEED = 42
 PAGE_BYTES = 4 << 20
@@ -181,6 +184,7 @@ def main():
                       f"B {medians['B'][-1]:.3f} s", file=sys.stderr)
             a = statistics.median(medians["A"])
             b = statistics.median(medians["B"])
+            qa, qb = (statistics.quantiles(medians[side], n=4) for side in "AB")
             wins = sum(tb < ta for ta, tb in zip(medians["A"], medians["B"]))
             if job == "adapter":
                 same = ", ".join(
@@ -191,8 +195,9 @@ def main():
                 same = "same output" if digests["A"] == digests["B"] else "OUTPUTS DIFFER"
             rss_a = statistics.median(peaks["A"])
             rss_b = statistics.median(peaks["B"])
-            print(f"{job}: A {a:.3f} s, B {b:.3f} s, A/B {a / b:.3f}, "
-                  f"B won {wins}/{ROUNDS} rounds, "
+            print(f"{job}: A {a:.3f} s [{qa[0]:.3f}, {qa[2]:.3f}], "
+                  f"B {b:.3f} s [{qb[0]:.3f}, {qb[2]:.3f}], A/B {a / b:.3f}, "
+                  f"B won {wins}/{ROUNDS} pairs, "
                   f"peak RSS A {rss_a:.1f} MB, B {rss_b:.1f} MB, {same}")
 
 

@@ -15,8 +15,17 @@ built by this checkout:
 Compared per input: the serialized tree (the corpus's test format), the
 quirks mode, the encoding, the error list (code, line and column, in
 order) and, for documents, ``extract_spans``' spans and meta
-(``parse_ns`` aside).  Prints the number of inputs compared and each one
-that differs; the exit code is 1 when any differs.
+(``parse_ns`` aside).
+
+Token runs drive ``Tokenizer(data, state=..., last_start_tag=...)`` to
+its end and compare the raw token tuples and the tokenizer's error list
+(code and offset, in order).  They run every tokenizer-corpus input in
+its own initial state and last start tag, and the generated strings and
+the empty string in each of the six states, with a last start tag drawn
+from ``LAST_START_TAGS``.
+
+Prints the number of inputs and token runs compared and each one that
+differs; the exit code is 1 when any differs.
 """
 
 import glob
@@ -31,6 +40,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GENERATED = 400
 SEED = 14
 PAGE_BYTES = 1 << 20
+LAST_START_TAGS = [None, "script", "title", "textarea", "style"]
 CONTEXTS = ["body", "td", "tr", "table", "template", "select", "html",
             "textarea", "pre", "svg path", "svg foreignObject", "math mi"]
 PIECES = list("<>&;/!-=\"' abxAB\t\n\x0c\x00") + [
@@ -47,15 +57,19 @@ PIECES = list("<>&;/!-=\"' abxAB\t\n\x0c\x00") + [
     "<desc>", "<annotation-xml encoding=\"text/html\">", "<font color=1>",
     "<frameset>", "<frame>", "</frameset>", "<noscript>", "<ruby>", "<rt>",
     "<applet>", "</applet>", "<marquee>", "<button>", "<hr>", "<br>", "</br>",
+    "<!DOCTYPE", " PUBLIC", " SYSTEM", "\"x\"", "'y'", "--!", "<!-", "<?", "</title",
+    "</style ", "</textarea/", "</script>", "<script", "=x", "<a b=c d='e'>",
 ]
 
 
 def build_inputs():
     """[(kind, data, arg)]: kind "doc" (arg = (scripting, processing
-    instructions)), "frag" (arg = context) or "bytes"."""
+    instructions)), "frag" (arg = context), "bytes" or "tokens" (arg =
+    (state name, last start tag))."""
     sys.path.insert(0, ROOT)
+    from html_extract.tokenizer import STATE_NAMES
     from perfbench.inputs import big_page
-    from tests.corpus_util import CORPUS, load_tree_tests
+    from tests.corpus_util import CORPUS, load_tokenizer_tests, load_tree_tests
 
     out = []
     for path in sorted(glob.glob(str(CORPUS / "tree-construction" / "*.dat"))):
@@ -65,11 +79,18 @@ def build_inputs():
                 out.append(("frag", case["data"], case["fragment"]))
             else:
                 out.append(("doc", case["data"], (case["script"] == "on", pi)))
+    for path in sorted(glob.glob(str(CORPUS / "tokenizer" / "*.test"))):
+        for _, state, last, data, *_ in load_tokenizer_tests(path):
+            out.append(("tokens", data, (state, last)))
     rng = random.Random(SEED)
+    generated = [""]
     for _ in range(GENERATED):
         data = "".join(rng.choice(PIECES) for _ in range(rng.randrange(80)))
+        generated.append(data)
         out.append(("doc", data, (False, False)))
         out.append(("frag", data, rng.choice(CONTEXTS)))
+    out.extend(("tokens", data, (state, rng.choice(LAST_START_TAGS)))
+               for data in generated for state in STATE_NAMES)
     out.extend(("bytes", big_page(seed, PAGE_BYTES), (False, False)) for seed in (1, 7, 21))
     return out
 
@@ -79,12 +100,18 @@ def worker(checkout, inputs_path, out_path):
     import html_extract
     from html_extract.extract import extract_spans
     from html_extract.parser import Config, parse, parse_fragment
+    from html_extract.tokenizer import STATE_NAMES, Tokenizer
     from tests.treefmt import serialize_test_format
 
     with open(inputs_path, "rb") as f:
         inputs = pickle.load(f)
     results = []
     for kind, data, arg in inputs:
+        if kind == "tokens":
+            state, last = arg
+            tok = Tokenizer(data, state=STATE_NAMES[state], last_start_tag=last)
+            results.append((list(tok.tokens()), tok.errors))
+            continue
         if kind == "frag":
             frag = parse_fragment(arg, data, config=Config(error_collection=True))
             results.append(serialize_test_format(frag))
@@ -121,9 +148,11 @@ def main(a, b):
     for i in bad:
         kind, data, arg = inputs[i]
         print(f"DIFFERS: {kind} {arg!r} {data[:80]!r}")
-    counts = {k: sum(1 for x in inputs if x[0] == k) for k in ("doc", "frag", "bytes")}
-    print(f"compared {len(inputs)} inputs ({counts['doc']} documents, "
-          f"{counts['frag']} fragments, {counts['bytes']} big pages): {len(bad)} differ")
+    counts = {k: sum(1 for x in inputs if x[0] == k)
+              for k in ("doc", "frag", "bytes", "tokens")}
+    print(f"compared {len(inputs) - counts['tokens']} inputs ({counts['doc']} documents, "
+          f"{counts['frag']} fragments, {counts['bytes']} big pages) and "
+          f"{counts['tokens']} token runs: {len(bad)} differ")
     return 1 if bad else 0
 
 
