@@ -165,7 +165,10 @@ def sniff_bom(data: bytes):
 
 
 def from_content_type(content_type):
-    """charset= parameter of a Content-Type value.  Charset.php:44-53."""
+    """charset= parameter of a Content-Type value.  Charset.php:44-53.
+
+    The value is bare or ``"``-quoted: WHATWG MIME parsing quotes with
+    ``"`` only, so ``charset='x'`` names the label ``'x'`` (none)."""
     if not content_type:
         return None
     m = re.search(r";\s*charset\s*=\s*\"?([^\";]+)\"?", content_type, re.I)
@@ -218,7 +221,7 @@ def _get_attribute(data: bytes, pos: int):
     attributes.
     """
     n = len(data)
-    while pos < n and (data[pos : pos + 1] in (b"\t", b"\n", b"\x0c", b"\r", b" ", b"/")):
+    while pos < n and (data[pos] in _WS or data[pos : pos + 1] == b"/"):
         pos += 1
     if pos >= n or data[pos : pos + 1] == b">":
         return None, None, pos
@@ -229,8 +232,8 @@ def _get_attribute(data: bytes, pos: int):
         if b == b"=" and name:
             pos += 1
             break
-        if b in (b"\t", b"\n", b"\x0c", b"\r", b" "):
-            while pos < n and data[pos : pos + 1] in (b"\t", b"\n", b"\x0c", b"\r", b" "):
+        if b in _WS:
+            while pos < n and data[pos] in _WS:
                 pos += 1
             if pos < n and data[pos : pos + 1] == b"=":
                 pos += 1
@@ -242,7 +245,7 @@ def _get_attribute(data: bytes, pos: int):
         pos += 1
     if pos >= n:
         return bytes(name).lower().decode("latin-1"), "", pos
-    while pos < n and data[pos : pos + 1] in (b"\t", b"\n", b"\x0c", b"\r", b" "):
+    while pos < n and data[pos] in _WS:
         pos += 1
     b = data[pos : pos + 1]
     if b in (b'"', b"'"):
@@ -258,7 +261,7 @@ def _get_attribute(data: bytes, pos: int):
     else:
         while pos < n:
             b = data[pos : pos + 1]
-            if b in (b"\t", b"\n", b"\x0c", b"\r", b" ", b">"):
+            if b in _WS or b == b">":
                 break
             value += b
             pos += 1
@@ -269,7 +272,17 @@ def _get_attribute(data: bytes, pos: int):
     )
 
 
-def _meta_remap(canonical):
+def meta_encoding(attrs):
+    """The encoding a <meta> element's attributes (name -> value)
+    declare: its ``charset`` when that names a known encoding, else,
+    with ``http-equiv=content-type``, the one named in its ``content``
+    (the spec's "in head" <meta> rule); UTF-16 is read as UTF-8 and
+    x-user-defined as windows-1252.  None when it declares none.  The
+    byte prescan (spec §13.2.3.2) and the tree builder's mid-parse
+    change (§13.2.3.4) both apply this one rule."""
+    canonical = lookup_label(attrs.get("charset"))
+    if canonical is None and attrs.get("http-equiv", "").lower() == "content-type":
+        canonical = lookup_label(charset_from_meta_content(attrs.get("content", "")))
     if canonical in ("UTF-16BE", "UTF-16LE"):
         return "UTF-8"
     if canonical == "x-user-defined":
@@ -293,42 +306,22 @@ def prescan(data: bytes, limit: int = PRESCAN_DEFAULT):
             pos = end + 3
             continue
         if (
-            data.startswith(b"<meta", pos)
-            and data[pos + 5 : pos + 6] in (b"\t", b"\n", b"\x0c", b"\r", b" ", b"/")
-        ) or (
             data[pos : pos + 5].lower() == b"<meta"
-            and data[pos + 5 : pos + 6] in (b"\t", b"\n", b"\x0c", b"\r", b" ", b"/")
+            and pos + 5 < n
+            and (data[pos + 5] in _WS or data[pos + 5 : pos + 6] == b"/")
         ):
             apos = pos + 6
-            seen = set()
-            got_pragma = False
-            need_pragma = None
-            charset = None
+            attrs = {}
             while True:
                 aname, avalue, apos = _get_attribute(data, apos)
                 if aname is None:
                     break
-                if aname in seen:
-                    continue
-                seen.add(aname)
-                if aname == "http-equiv":
-                    if avalue == "content-type":
-                        got_pragma = True
-                elif aname == "content":
-                    label = charset_from_meta_content(avalue)
-                    if label is not None and charset is None:
-                        charset = lookup_label(label)
-                        need_pragma = True
-                elif aname == "charset":
-                    charset = lookup_label(avalue)
-                    need_pragma = False
-            if need_pragma is None or (need_pragma and not got_pragma):
-                pos = apos + 1
-                continue
-            if charset is None:
-                pos = apos + 1
-                continue
-            return _meta_remap(charset)
+                attrs.setdefault(aname, avalue)  # the first of a name counts
+            canonical = meta_encoding(attrs)
+            if canonical is not None:
+                return canonical
+            pos = apos + 1
+            continue
         if data[pos : pos + 1] == b"<" and (
             data[pos + 1 : pos + 2].isalpha()
             or (
@@ -338,9 +331,7 @@ def prescan(data: bytes, limit: int = PRESCAN_DEFAULT):
         ):
             # skip a tag, consuming its attributes
             apos = pos + 2
-            while apos < n and data[apos : apos + 1] not in (
-                b"\t", b"\n", b"\x0c", b"\r", b" ", b">",
-            ):
+            while apos < n and not (data[apos] in _WS or data[apos : apos + 1] == b">"):
                 apos += 1
             while True:
                 aname, _, apos = _get_attribute(data, apos)
@@ -378,9 +369,7 @@ def detect(data: bytes, transport_charset=None, default="windows-1252"):
     bom = sniff_bom(data)
     if bom is not None:
         return bom[0], True, bom[1]
-    canon = lookup_label(transport_charset) if transport_charset else None
-    if canon is None and transport_charset:
-        canon = from_content_type(transport_charset)
+    canon = from_content_type(transport_charset)
     if canon is not None:
         return canon, True, 0
     canon = prescan(data)

@@ -10,6 +10,7 @@ an exception.
 
 import re
 
+from . import charset as cs
 from .parser import Config, Output, parse
 from .xmlparser import parse_xml
 
@@ -46,19 +47,7 @@ def parse_from_string(data, content_type: str, config: Config | None = None) -> 
             config = Config(encoding_fallback="UTF-8")
         return parse(data, content_type=content_type, config=config)
     if essence in XML_TYPES or essence.endswith("+xml"):
-        charset = _charset_param(content_type)
-        doc = parse_xml(data, transport_charset=charset)
+        doc = parse_xml(data, transport_charset=cs.from_content_type(content_type))
         return Output(document=doc, encoding="UTF-8", quirks_mode=0)
     raise ValueError(f"unsupported MIME type: {essence}")
 
-
-_CHARSET_RE = re.compile(
-    r";\s*charset\s*=\s*(\"[^\"]*\"|'[^']*'|[^;\s]+)", re.I
-)
-
-
-def _charset_param(content_type: str):
-    m = _CHARSET_RE.search(content_type or "")
-    if not m:
-        return None
-    return m.group(1).strip("\"'")

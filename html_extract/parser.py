@@ -117,21 +117,8 @@ def _parse_once(text, config, encoding_name, certain, raw_had_meta_hook):
             # becomes certain); the meta is ignored entirely
             if encoding_name in ("UTF-16BE", "UTF-16LE"):
                 return
-            label = attrs.get("charset")
-            if label is None and attrs.get("http-equiv", "").lower() == "content-type":
-                content = attrs.get("content")
-                if content:
-                    label = cs.charset_from_meta_content(content)
-            if label is None:
-                return
-            canon = cs.lookup_label(label)
-            if canon is None:
-                return
-            if canon in ("UTF-16BE", "UTF-16LE"):
-                canon = "UTF-8"
-            elif canon == "x-user-defined":
-                canon = "windows-1252"
-            if canon != encoding_name:
+            canon = cs.meta_encoding(attrs)
+            if canon is not None and canon != encoding_name:
                 raise _EncodingChange(canon)
 
         tb.on_meta = on_meta

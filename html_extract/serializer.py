@@ -12,10 +12,14 @@ lib/Parser/NameCoercion.php:69-83).  Option parity:
   scan with the preformatted-ancestry exclusion and the
   not(last()=1) conditional names) without XPath, and inline text
   runs are joined per the firstOfLine/lastOfLine rules over the
-  nearest real-block ancestor.  The pretty path is a separate
-  recursive serializer used only on demand; the default path stays
-  the allocation-lean iterative walk (pretty output cannot affect
-  span equality, so the hot pipeline never pays for it).
+  nearest real-block ancestor.
+
+Both paths walk an explicit stack, so pathologically deep documents
+serialize without recursion, and both take time linear in the tree.
+The default path is the allocation-lean plain walk; the pretty path
+(used only on demand: pretty output cannot affect span equality) first
+measures every element once, bottom-up, then walks once top-down with
+each frame carrying its node's context.
 """
 
 import re as _re
@@ -31,9 +35,7 @@ from .dom import (
 )
 from .tables import (
     HTML_NS,
-    MATHML_NS,
     RAWTEXT_SERIALIZE,
-    SVG_NS,
     VOID_ELEMENTS,
     XLINK_NS,
     XML_NS,
@@ -74,6 +76,13 @@ def _attr_name(el, qname):
     return f"{prefix}:{local}" if prefix else local
 
 
+def _content(node):
+    """The node whose children serialize as ``node``'s: a template
+    element's contents, else ``node`` itself."""
+    content = getattr(node, "template_content", None)
+    return node if content is None else content
+
+
 def _emit_start_tag(item, out, bool_attr, foreign_void_end_tags, kids):
     """Append the start tag (incl. attrs) of ``item``; returns True if
     the element is fully serialized (void / self-closed foreign)."""
@@ -107,22 +116,28 @@ def _emit_start_tag(item, out, bool_attr, foreign_void_end_tags, kids):
     return item.namespace == HTML_NS and item.name in VOID_ELEMENTS
 
 
-def _serialize_node(node, out, bool_attr=False, foreign_void_end_tags=True):
-    # Iterative (explicit stack): survives pathologically deep documents
-    # that would blow Python's recursion limit.  Literal strings on the
-    # stack are emitted as-is (used for deferred end tags).
-    stack = [node]
+def _emit_leaf(item, out):
+    """Comment, PI or doctype.  Text is written by the plain walk alone:
+    the pretty walk reformats its texts and hands every preformatted
+    subtree (each raw-text parent is one) to the plain walk."""
+    if isinstance(item, Comment):
+        out.append(f"<!--{item.data}-->")
+    elif isinstance(item, Doctype):
+        out.append(f"<!DOCTYPE {item.name}>")
+    elif isinstance(item, ProcessingInstruction):
+        out.append(f"<?{item.target} {item.data}>")
+
+
+def _serialize_node(node, inner, out, bool_attr, foreign_void_end_tags):
+    # Literal strings on the stack are emitted as-is (deferred end tags).
+    stack = list(reversed(_content(node).children)) if inner else [node]
     while stack:
         item = stack.pop()
         if type(item) is str:
             out.append(item)
             continue
         if isinstance(item, Element):
-            kids = (
-                item.template_content.children
-                if item.template_content is not None
-                else item.children
-            )
+            kids = _content(item).children
             if _emit_start_tag(item, out, bool_attr, foreign_void_end_tags, kids):
                 continue
             stack.append(f"</{item.name}>")
@@ -137,14 +152,10 @@ def _serialize_node(node, out, bool_attr=False, foreign_void_end_tags=True):
                 out.append(item.data)
             else:
                 out.append(item.data.translate(_ESC_TEXT))
-        elif isinstance(item, Comment):
-            out.append(f"<!--{item.data}-->")
-        elif isinstance(item, Doctype):
-            out.append(f"<!DOCTYPE {item.name}>")
-        elif isinstance(item, ProcessingInstruction):
-            out.append(f"<?{item.target} {item.data}>")
         elif isinstance(item, (Document, DocumentFragment)):
             stack.extend(reversed(item.children))
+        else:
+            _emit_leaf(item, out)
 
 
 # ---------------------------------------------------------------------------
@@ -180,15 +191,54 @@ _REAL_BLOCK = frozenset(
 )
 _H_ELEMENTS = frozenset(["h1", "h2", "h3", "h4", "h5", "h6"])
 _WS = "\t\n\x0c\r "
+_WS_CHARS = frozenset(_WS)
 _RE_NL_WS = _re.compile(r"[\t\n\x0c\r ]*\n[\t\n\x0c\r ]*")
 _RE_WS_RUN = _re.compile(r"[\t\n\x0c\r ]+")
 _RE_SPACES = _re.compile(r" +")
 
 
+def _html_named(node, names):
+    return (
+        isinstance(node, Element)
+        and node.namespace == HTML_NS
+        and node.name in names
+    )
+
+
+def _foreign(node):
+    return isinstance(node, Element) and node.namespace != HTML_NS
+
+
+def _alike(prev, node):
+    """groupElements' "same kind" test (Serializer.php:185-198,
+    455-466): a comment follows a comment, a PI a PI; an element follows
+    a doctype or an element of its name (the six headings are one)."""
+    if not isinstance(node, Element):
+        return isinstance(prev, type(node))
+    if isinstance(prev, Doctype):
+        return True
+    return isinstance(prev, Element) and (
+        prev.name == node.name
+        or (prev.name in _H_ELEMENTS and node.name in _H_ELEMENTS)
+    )
+
+
 class _Pretty:
-    """Recursive reformatting serializer — offline convenience path
-    (depth-bounded by Python recursion; the hot pipeline and the
-    pathological-depth guarantees use the iterative default path)."""
+    """Reformatting serializer.  ``_measure`` visits every element once,
+    bottom-up; ``write`` then walks the tree once, top-down, on an
+    explicit stack of frames ``(node, level, first, fab, pblock, prev,
+    before, after)`` that carry each node's context:
+
+    - ``fab``: inside foreign content whose root counts as block
+      (treatForeignRootAsBlock, Serializer.php:648-666);
+    - ``pblock``: the node's parent counts as block (treatAsBlock);
+    - ``prev``: its nearest preceding non-text sibling (groupElements);
+    - ``before``/``after``: its place in its inline text run (the texts
+      under the nearest real-block ancestor, template contents
+      excluded): the last character of the run's preceding text (None
+      when there is none), and whether any text of the run follows.
+
+    Strings on the stack are emitted as-is (indented end tags)."""
 
     def __init__(self, bool_attr, foreign_void, indent_step, indent_with_spaces, group):
         self.bool_attr = bool_attr
@@ -196,306 +246,193 @@ class _Pretty:
         self.step = indent_step
         self.char = " " if indent_with_spaces else "\t"
         self.group = group
-        self._block_memo = {}
-        self._runs = {}
+        self._blocks = set()
+        self._tails = {}
 
-    # -- block / preformatted classification ---------------------------
-    def _kids(self, el):
-        return (
-            el.template_content.children
-            if el.template_content is not None
-            else el.children
+    def _measure(self, root):
+        """Once per element under ``root`` (template contents included),
+        children first: ``_blocks`` gets the id of each element with a
+        block descendant, and ``_tails`` maps each element to the last
+        character of its last text (none for a template, whose contents
+        are not in any run).
+
+        Block descendant is BLOCK_QUERY (Serializer.php:56, treatAsBlock
+        :617-638): an HTML element child with a block name, or any
+        element child, not HTML-preformatted, that has one.  In the
+        reference XPath the `not(last() = 1)` predicate on button/
+        input/output/textarea is evaluated per child-axis step, so a
+        conditional name counts only when its own parent has more than
+        one HTML-namespace element child."""
+        elements = []
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Element):
+                elements.append(node)
+            stack.extend(_content(node).children)
+        blocks, tails = self._blocks, self._tails
+        for el in reversed(elements):
+            box = _content(el)
+            kids = box.children
+            n_html = sum(
+                1 for k in kids if isinstance(k, Element) and k.namespace == HTML_NS
+            )
+            for k in kids:
+                if (
+                    _html_named(k, _BLOCK_ALWAYS)
+                    or (n_html != 1 and _html_named(k, _BLOCK_CONDITIONAL))
+                    or (id(k) in blocks and not _html_named(k, PREFORMATTED_ELEMENTS))
+                ):
+                    blocks.add(id(el))
+                    break
+            if box is el:
+                for k in reversed(kids):
+                    tail = self._tail(k)
+                    if tail is not None:
+                        tails[id(el)] = tail
+                        break
+
+    def _tail(self, node):
+        if isinstance(node, Text):
+            return node.data[-1:]
+        return self._tails.get(id(node))
+
+    def _block(self, node):
+        """treatAsBlock of a parent: documents and fragments (template
+        contents too) are block, elements when they have a block
+        descendant."""
+        return node is not None and (
+            not isinstance(node, Element) or id(node) in self._blocks
         )
 
-    def treat_as_block(self, node) -> bool:
-        """BLOCK_QUERY port (Serializer.php:56, treatAsBlock :617-638):
-        a node is treated as block when it HAS a block-named descendant
-        (HTML namespace, not under a preformatted element).  In the
-        reference XPath `.//*[ns][not-preformatted][name-pred][1]` the
-        `not(last() = 1)` predicate on button/input/output/textarea is
-        evaluated per child-axis step: `last()` is the number of
-        HTML-namespace element children of THAT parent, so a
-        conditional name counts as block only when its own parent has
-        more than one qualifying element child.  Template contents are
-        scanned too (treatAsBlockWithTemplates — the reference PHP DOM
-        stores them as regular children)."""
-        if isinstance(node, (Document, DocumentFragment)):
-            return True
-        if not isinstance(node, Element):
-            node = getattr(node, "parent", None)
-            if node is None:
-                return False
-            if isinstance(node, (Document, DocumentFragment)):
-                return True
-        key = id(node)
-        memo = self._block_memo
-        if key in memo:
-            return memo[key]
-        res = False
-        # stack of sibling lists (child-axis steps), scanned per parent
-        # so the conditional-name context size is that parent's own
-        # HTML-ns element-child count
-        stack = [self._kids(node)]
-        while stack and not res:
-            kids = stack.pop()
-            n_ns = 0
-            for el in kids:
-                if isinstance(el, Element) and el.namespace == HTML_NS:
-                    n_ns += 1
-            for el in kids:
-                if not isinstance(el, Element):
-                    continue
-                if el.namespace == HTML_NS:
-                    if el.name in _BLOCK_ALWAYS or (
-                        el.name in _BLOCK_CONDITIONAL and n_ns != 1
-                    ):
-                        res = True
-                        break
-                    if el.name in PREFORMATTED_ELEMENTS:
-                        continue  # ancestor::pre-style exclusion
-                stack.append(self._kids(el))
-        memo[key] = res
-        return res
+    def _push(self, stack, node, level, first, fab, before, after):
+        """Push the frames of ``node``'s children (a template's
+        contents) for the walk."""
+        box = _content(node)
+        kids = box.children
+        pblock = self._block(box)
+        if box is not node or _html_named(node, _REAL_BLOCK):
+            before, after = None, False  # a run of their own
+        tails = [self._tail(k) for k in kids]
+        last = max((i for i, t in enumerate(tails) if t is not None), default=-1)
+        frames = []
+        prev = None
+        for i, kid in enumerate(kids):
+            frames.append(
+                (kid, level, first and i == 0, fab, pblock, prev, before, after or i < last)
+            )
+            if tails[i] is not None:
+                before = tails[i]
+            if not isinstance(kid, Text):
+                prev = kid
+        stack.extend(reversed(frames))
 
-    @staticmethod
-    def is_preformatted_content(node) -> bool:
-        n = node
-        while n is not None:
-            if (
-                isinstance(n, Element)
-                and n.namespace == HTML_NS
-                and n.name in PREFORMATTED_ELEMENTS
-            ):
-                return True
-            n = getattr(n, "parent", None)
-        return False
+    def _newline(self, out, item, prev, level):
+        # an extra break between unlike siblings (groupElements)
+        if self.group and prev is not None and not _alike(prev, item):
+            out.append("\n")
+        out.append(self._indent(level))
 
-    def _foreign_root_as_block(self, node) -> bool:
-        # treatForeignRootAsBlock (Serializer.php:648-666)
-        n = node
-        while n is not None:
-            p = getattr(n, "parent", None)
-            if not (
-                p is not None
-                and isinstance(p, Element)
-                and p.namespace != HTML_NS
-            ):
-                return self.treat_as_block(p) if p is not None else False
-            n = p
-        return False
+    def _indent(self, level):
+        return "\n" + self.char * (level * self.step)
 
-    # -- inline text-run bookkeeping ------------------------------------
-    def _text_run(self, text):
-        """(ordered text-node list, index) under the nearest real-block
-        ancestor of ``text`` (or the tree root) — template contents
-        excluded, per the not(ancestor::template) filter."""
-        anc = text.parent
-        top = text
-        while anc is not None:
-            if (
-                isinstance(anc, Element)
-                and anc.namespace == HTML_NS
-                and anc.name in _REAL_BLOCK
-            ):
-                break
-            top = anc
-            anc = getattr(anc, "parent", None)
-        key_node = anc if anc is not None else top
-        key = id(key_node)
-        run = self._runs.get(key)
-        if run is None:
-            run = []
-            stack = [key_node]
-            while stack:
-                n = stack.pop()
-                if isinstance(n, Text):
-                    run.append(n)
-                elif isinstance(n, Element):
-                    if n.template_content is not None:
-                        continue  # not(ancestor::template)
-                    stack.extend(reversed(n.children))
-                elif isinstance(n, (Document, DocumentFragment)):
-                    stack.extend(reversed(n.children))
-            self._runs[key] = run
-        return run, run.index(text)
-
-    # -- node dispatch ---------------------------------------------------
-    def _indent(self, out, level):
-        out.append("\n")
-        out.append(self.char * (level * self.step))
-
-    def _group_break(self, out, node, same):
-        """Extra newline between unlike siblings (groupElements):
-        walk back past text siblings; break unless the nearest real
-        sibling satisfies ``same`` (Serializer.php:185-198, 455-466)."""
-        if not self.group:
+    def write(self, node, inner, out):
+        """Append ``node`` (``inner``: its children) to ``out``."""
+        path = [node]  # node and its ancestors, root last
+        while path[-1].parent is not None:
+            path.append(path[-1].parent)
+        if any(_html_named(a, PREFORMATTED_ELEMENTS) for a in path[0 if inner else 1:]):
+            # under a preformatted element: reformatting is suspended
+            _serialize_node(node, inner, out, self.bool_attr, self.foreign_void)
             return
-        sibs = node.parent.children if node.parent is not None else []
-        try:
-            i = sibs.index(node)
-        except ValueError:
-            return
-        for j in range(i - 1, -1, -1):
-            prev = sibs[j]
-            if isinstance(prev, Text):
-                continue
-            if not same(prev):
-                out.append("\n")
-            return
-
-    def node(self, item, out, level, first, fab, pre):
-        # explicit-stack walk: pretty output must survive the same
-        # pathological depths as the default iterative serializer
-        # ("n" = render a node, "c" = emit an element's close tag)
-        stack = [("n", item, level, first, fab, pre)]
+        self._measure(path[-1])
+        # the start node's frame, by the walk's own rule from the root
+        frame = (path[-1], 0, True, False, False, None, None, False)
+        for child in reversed(path[:-1]):
+            kids = []
+            self._push(kids, frame[0], 0, True, False, frame[6], frame[7])
+            frame = next(f for f in kids if f[0] is child)
+        _, _, _, _, pblock, _, before, after = frame
+        # ...but the walk starts with fab off: a foreign start node's
+        # fab comes from its foreign root's parent
+        fab = False
+        if _foreign(node):
+            a = node.parent
+            while _foreign(a):
+                a = a.parent
+            fab = node.parent is None or self._block(a)
+        stack = []
+        if inner:
+            self._push(stack, node, 0, True, fab, before, after)
+        else:
+            stack.append((node, 0, True, fab, pblock, None, before, after))
         while stack:
             frame = stack.pop()
-            if frame[0] == "c":
-                _, name, lvl, do_indent = frame
-                if do_indent:
-                    self._indent(out, lvl)
-                out.append(f"</{name}>")
+            if type(frame) is str:
+                out.append(frame)
                 continue
-            _, item, level, first, fab, pre = frame
-            if isinstance(item, (Document, DocumentFragment)):
-                kids = item.children
-                for i in range(len(kids) - 1, -1, -1):
-                    stack.append(
-                        ("n", kids[i], level, first and i == 0, fab, pre)
-                    )
-                continue
+            item, level, first, fab, pblock, prev, before, after = frame
             if isinstance(item, Element):
-                cont = self._element_open(item, out, level, first, fab, pre)
-                if cont is None:
+                html = item.namespace == HTML_NS
+                if not (html or fab or _foreign(item.parent)):
+                    fab = pblock  # a foreign root: block as its parent is
+                if (pblock if html else fab) and not first:
+                    self._newline(out, item, prev, level)
+                if _html_named(item, PREFORMATTED_ELEMENTS):
+                    # content verbatim: reformatting suspended for the subtree
+                    _serialize_node(item, False, out, self.bool_attr, self.foreign_void)
                     continue
-                kids, fab2, do_indent = cont
-                stack.append(("c", item.name, level, do_indent))
-                for i in range(len(kids) - 1, -1, -1):
-                    stack.append(("n", kids[i], level + 1, False, fab2, False))
-            elif isinstance(item, Text):
-                self._text(item, out, fab, pre)
-            elif isinstance(item, Comment):
-                self._positioned_literal(
-                    item, out, level, first, fab, pre,
-                    lambda prev: isinstance(prev, Comment),
-                )
-                out.append(f"<!--{item.data}-->")
-            elif isinstance(item, ProcessingInstruction):
-                self._positioned_literal(
-                    item, out, level, first, fab, pre,
-                    lambda prev: isinstance(prev, ProcessingInstruction),
-                )
-                out.append(f"<?{item.target} {item.data}>")
-            elif isinstance(item, Doctype):
-                if not first:
-                    out.append("\n")
-                out.append(f"<!DOCTYPE {item.name}>")
-
-    def _positioned_literal(self, item, out, level, first, fab, pre, same):
-        # comment / PI positioning (Serializer.php:452-500)
-        if first:
-            return
-        if pre or self.is_preformatted_content(item):
-            return
-        if fab or self.treat_as_block(item.parent):
-            self._group_break(out, item, same)
-            self._indent(out, level)
-
-    def _element_open(self, el, out, level, first, fab, pre):
-        """Prefix + start tag for one element.  Returns None when the
-        subtree is fully emitted here (void, preformatted-verbatim, or
-        childless); else ``(kids, child_fab, close_indent)`` for the
-        caller's explicit stack."""
-        kids = self._kids(el)
-        name = el.name
-        html = el.namespace == HTML_NS
-        preformatted = pre or self.is_preformatted_content(el)
-        modify = False
-        if not preformatted or (html and name in PREFORMATTED_ELEMENTS):
-            if html:
-                parent = el.parent
-                if not first and parent is not None and self.treat_as_block(parent):
-                    modify = True
-            elif fab:
-                modify = True
-            else:
-                parent = el.parent
-                if parent is None:
-                    modify = True
-                    fab = True
-                elif (
-                    not isinstance(parent, Element)
-                    or parent.namespace == HTML_NS
+                kids = _content(item).children
+                if _emit_start_tag(item, out, self.bool_attr, self.foreign_void, kids):
+                    continue
+                end = f"</{item.name}>"
+                if (fab or (html and id(item) in self._blocks)) and any(
+                    isinstance(k, Element) for k in kids
                 ):
-                    if self.treat_as_block(parent):
-                        modify = True
-                        fab = True
-                elif self._foreign_root_as_block(parent):
-                    modify = True
-                    fab = True
-            if not first and modify:
-                self._group_break(
-                    out,
-                    el,
-                    lambda prev: isinstance(prev, (Element, Doctype))
-                    and (
-                        not isinstance(prev, Element)
-                        or prev.name == name
-                        or (prev.name in _H_ELEMENTS and name in _H_ELEMENTS)
-                    ),
-                )
-                self._indent(out, level)
-        if _emit_start_tag(el, out, self.bool_attr, self.foreign_void, kids):
-            return None
-        if preformatted:
-            # content verbatim: reformatting suspended for the subtree
-            for child in kids:
-                _serialize_node(child, out, self.bool_attr, self.foreign_void)
-            out.append(f"</{name}>")
-            return None
-        if not kids:
-            out.append(f"</{name}>")
-            return None
-        close_indent = any(isinstance(k, Element) for k in kids) and (
-            fab or (html and self.treat_as_block(el))
-        )
-        return kids, fab, close_indent
+                    end = self._indent(level) + end
+                stack.append(end)
+                self._push(stack, item, level + 1, False, fab, before, after)
+            elif isinstance(item, Text):
+                data = item.data
+                if (fab or pblock) and not data.strip(_WS):
+                    continue
+                if pblock:
+                    # block formatting context: trim + collapse
+                    data = _RE_WS_RUN.sub(" ", data.strip(_WS))
+                elif _RE_WS_RUN.search(data):
+                    # inline formatting context (Serializer.php:380-446)
+                    data = _RE_NL_WS.sub("\n", data)
+                    data = data.replace("\t", " ").replace("\n", " ")
+                    data = _RE_SPACES.sub(" ", data)
+                    if before is None or before in _WS_CHARS:
+                        data = data.lstrip(_WS)
+                    if not after:
+                        data = data.rstrip(_WS)
+                out.append(data.translate(_ESC_TEXT))
+            elif isinstance(item, (Document, DocumentFragment)):
+                self._push(stack, item, level, first, fab, before, after)
+            else:
+                # comment / PI positioning (Serializer.php:452-500)
+                if isinstance(item, Doctype):
+                    if not first:
+                        out.append("\n")
+                elif (fab or pblock) and not first:
+                    self._newline(out, item, prev, level)
+                _emit_leaf(item, out)
 
-    def _text(self, text, out, fab, pre):
-        parent = text.parent
-        if (
-            isinstance(parent, Element)
-            and parent.namespace == HTML_NS
-            and parent.name in _RAW_PARENTS
-        ):
-            out.append(text.data)
-            return
-        data = text.data
-        if not (pre or self.is_preformatted_content(text)):
-            as_block = self.treat_as_block(text)
-            all_ws = not data.strip(_WS)
-            if (fab or as_block) and all_ws:
-                return
-            if as_block:
-                # block formatting context: trim + collapse
-                data = _RE_WS_RUN.sub(" ", data.strip(_WS))
-                if not data:
-                    return
-            elif _RE_WS_RUN.search(data):
-                # inline formatting context (Serializer.php:380-446)
-                data = _RE_NL_WS.sub("\n", data)
-                data = data.replace("\t", " ").replace("\n", " ")
-                data = _RE_SPACES.sub(" ", data)
-                run, idx = self._text_run(text)
-                first_of_line = idx == 0
-                last_of_line = idx == len(run) - 1
-                if not first_of_line and run[idx - 1].data[-1:] in tuple(_WS):
-                    data = data.lstrip(_WS)
-                if first_of_line:
-                    data = data.lstrip(_WS)
-                if last_of_line:
-                    data = data.rstrip(_WS)
-        out.append(data.translate(_ESC_TEXT))
+
+def _serialize(node, inner, bool_attr, foreign_void_end_tags,
+               reformat_whitespace, indent_step, indent_with_spaces,
+               group_elements):
+    out = []
+    if reformat_whitespace:
+        _Pretty(
+            bool_attr, foreign_void_end_tags, indent_step,
+            indent_with_spaces, group_elements,
+        ).write(node, inner, out)
+    else:
+        _serialize_node(node, inner, out, bool_attr, foreign_void_end_tags)
+    return "".join(out)
 
 
 def serialize(
@@ -517,16 +454,10 @@ def serialize(
     printer; indent_step/indent_with_spaces/group_elements as in the
     reference, defaults matching verifyConfiguration :531-540).
     """
-    if reformat_whitespace:
-        out = []
-        _Pretty(
-            bool_attr, foreign_void_end_tags, indent_step,
-            indent_with_spaces, group_elements,
-        ).node(node, out, 0, True, False, False)
-        return "".join(out)
-    out = []
-    _serialize_node(node, out, bool_attr, foreign_void_end_tags)
-    return "".join(out)
+    return _serialize(
+        node, False, bool_attr, foreign_void_end_tags, reformat_whitespace,
+        indent_step, indent_with_spaces, group_elements,
+    )
 
 
 def serialize_inner(
@@ -538,21 +469,11 @@ def serialize_inner(
     indent_with_spaces: bool = True,
     group_elements: bool = True,
 ) -> str:
-    """innerHTML: children only (template elements: their contents)."""
-    kids = (
-        node.template_content.children
-        if isinstance(node, Element) and node.template_content is not None
-        else node.children
+    """innerHTML: children only (template elements: their contents).
+    Options as for ``serialize``; pretty-printed, the children are laid
+    out as ``serialize`` lays out a document's: from level 0, the first
+    one on the first line."""
+    return _serialize(
+        node, True, bool_attr, foreign_void_end_tags, reformat_whitespace,
+        indent_step, indent_with_spaces, group_elements,
     )
-    if reformat_whitespace:
-        out = []
-        p = _Pretty(
-            bool_attr, foreign_void_end_tags, indent_step,
-            indent_with_spaces, group_elements,
-        )
-        p.inner(kids, out, 0, True, False, False)
-        return "".join(out)
-    out = []
-    for child in kids:
-        _serialize_node(child, out, bool_attr, foreign_void_end_tags)
-    return "".join(out)

@@ -88,6 +88,32 @@ def test_mid_parse_encoding_change_restart():
     assert out.restarted
 
 
+@pytest.mark.parametrize(
+    "attrs,want",
+    [
+        ("charset=koi8-r", "KOI8-R"),
+        ('http-equiv=Content-Type content="text/html; charset=koi8-r"', "KOI8-R"),
+        ('content="text/html; charset=koi8-r"', None),  # no pragma
+        ('charset=bogus http-equiv=content-type content="charset=koi8-r"', "KOI8-R"),
+        ('http-equiv=content-type content="charset=koi8-r" charset=bogus', "KOI8-R"),
+        ('charset=koi8-r http-equiv=content-type content="charset=utf-8"', "KOI8-R"),
+        ("charset=koi8-r charset=utf-8", "KOI8-R"),  # the first of a name
+        ("charset=utf-16le", "UTF-8"),
+        ("charset=x-user-defined", "windows-1252"),
+    ],
+)
+def test_meta_rule_same_in_prescan_and_mid_parse(attrs, want):
+    """One <meta> rule: the byte prescan and the mid-parse encoding
+    change (the meta past the prescan window) read the same encoding."""
+    from html_extract.parser import parse
+
+    meta = f"<meta {attrs}>".encode()
+    assert cs.prescan(meta) == want
+    out = parse(b"<!-- " + b"x" * 1100 + b" -->" + meta + b"<p>\xc1")
+    assert out.encoding == (want or "windows-1252")
+    assert out.restarted == (want not in (None, "windows-1252"))
+
+
 def test_every_registry_codec_decodes():
     import codecs
 

@@ -102,6 +102,27 @@ def test_domparser_html():
     assert out.encoding == "windows-1252"  # label maps per WHATWG registry
 
 
+@pytest.mark.parametrize(
+    "param,honoured",
+    [('charset="koi8-r"', True), ("charset=koi8-r", True), ("charset='koi8-r'", False)],
+)
+def test_domparser_charset_param_both_branches(param, honoured):
+    """The HTML and XML branches read the MIME charset parameter through
+    one parser: a bare or double-quoted value names the label, while
+    single quotes do not quote in WHATWG MIME parsing, so
+    ``charset='koi8-r'`` names no encoding and the branch's default
+    (UTF-8) applies."""
+    from html_extract.serializer import serialize
+
+    word = "\u043f\u0440\u0438\u0432\u0435\u0442"  # koi8-r bytes are not UTF-8
+    raw = word.encode("koi8_r")
+    html = parse_from_string(b"<p>" + raw, "text/html; " + param)
+    assert html.encoding == ("KOI8-R" if honoured else "UTF-8")
+    xml = parse_from_string(b"<r>" + raw + b"</r>", "application/xml; " + param)
+    assert (serialize(xml.document) == f"<r>{word}</r>") == honoured
+    assert (serialize(html.document).count(word) == 1) == honoured
+
+
 def test_domparser_rejects_non_html_non_xml():
     with pytest.raises(ValueError):
         parse_from_string("x", "image/png")

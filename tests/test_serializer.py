@@ -422,11 +422,69 @@ def test_pretty_print_survives_pathological_depth():
     from html_extract.parser import parse
     from html_extract.serializer import serialize
 
-    # 5k nesting: ~5x any Python recursion limit, and keeps the
-    # pretty pass' inherent O(depth^2) ancestor scans test-budget-sized
-    depth = 5_000
+    depth = 30_000
     doc = parse("<i>" * depth + "x").document
     out = serialize(doc, reformat_whitespace=True)
     # inline chain: no indentation explosion, content preserved
     assert "x" in out
     assert out.count("<i>") == depth
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        lambda n: "<div>" * n,
+        lambda n: "<span>" * n,
+        lambda n: "<svg>" + "<g>" * n,
+        lambda n: "<div>" + "<p>a</p>" * n,
+        lambda n: "<b>a</b> x " * n,
+        lambda n: "<div>x " * n,
+    ],
+    ids=["div-deep", "span-deep", "svg-g-deep", "p-wide", "inline-run", "div-text-deep"],
+)
+def test_pretty_print_is_linear_time(shape):
+    """Each node's context (under a preformatted element, foreign root
+    as block, previous sibling, place in its text run, block
+    descendant) is found once, not by a walk over its ancestors,
+    siblings or run: a printer that searches for it is quadratic in
+    depth, width or run length (about 64x the time for 8x the input).
+    ``indent_step=0`` keeps the output linear too, so the ratio is the
+    printer's own."""
+    import time
+
+    from html_extract.parser import parse
+    from html_extract.serializer import serialize
+
+    def best_of_3(n):
+        doc = parse(shape(n)).document
+        best = float("inf")
+        for _ in range(3):
+            t0 = time.perf_counter()
+            serialize(doc, reformat_whitespace=True, indent_step=0)
+            best = min(best, time.perf_counter() - t0)
+        return best
+
+    assert best_of_3(16000) < 20 * best_of_3(2000)
+
+
+def test_serialize_inner_pretty_document():
+    """serialize_inner pretty-prints a node's children as serialize
+    lays out a document's, so for a document the two agree."""
+    from html_extract.parser import Config, parse
+    from html_extract.serializer import serialize, serialize_inner
+
+    doc = parse(
+        "<!DOCTYPE html><!--c--><title>t</title><div> a <b>b</b></div>"
+        "<pre>\n x </pre><svg><g></g></svg><p>y</p>",
+        config=Config(processing_instructions=True),
+    ).document
+    for opts in ({}, {"indent_step": 2, "indent_with_spaces": False,
+                      "group_elements": False, "foreign_void_end_tags": False}):
+        pretty = serialize(doc, reformat_whitespace=True, **opts)
+        assert serialize_inner(doc, reformat_whitespace=True, **opts) == pretty
+    # an element's children: laid out from level 0, first on line one
+    body = doc.children[-1].children[-1]
+    assert serialize_inner(body, reformat_whitespace=True) == (
+        "<div>a <b>b</b></div>\n\n<pre> x </pre>\n\n<svg>\n <g></g>\n</svg>"
+        "\n\n<p>y</p>"
+    )

@@ -14,8 +14,9 @@ built by this checkout:
 
 Compared per input: the serialized tree (the corpus's test format), the
 quirks mode, the encoding, the error list (code, line and column, in
-order) and, for documents, ``extract_spans``' spans and meta
-(``parse_ns`` aside).
+order), the tree's HTML serialization in each of the ``SERIALIZE``
+option sets (plain and pretty-printed) and, for documents,
+``extract_spans``' spans and meta (``parse_ns`` aside).
 
 Token runs drive ``Tokenizer(data, state=..., last_start_tag=...)`` to
 its end and compare the raw token tuples and the tokenizer's error list
@@ -41,6 +42,13 @@ GENERATED = 400
 SEED = 14
 PAGE_BYTES = 1 << 20
 LAST_START_TAGS = [None, "script", "title", "textarea", "style"]
+SERIALIZE = [
+    {},
+    {"bool_attr": True, "foreign_void_end_tags": False},
+    {"reformat_whitespace": True},
+    {"reformat_whitespace": True, "indent_step": 2, "indent_with_spaces": False,
+     "group_elements": False},
+]
 CONTEXTS = ["body", "td", "tr", "table", "template", "select", "html",
             "textarea", "pre", "svg path", "svg foreignObject", "math mi"]
 PIECES = list("<>&;/!-=\"' abxAB\t\n\x0c\x00") + [
@@ -100,6 +108,7 @@ def worker(checkout, inputs_path, out_path):
     import html_extract
     from html_extract.extract import extract_spans
     from html_extract.parser import Config, parse, parse_fragment
+    from html_extract.serializer import serialize
     from html_extract.tokenizer import STATE_NAMES, Tokenizer
     from tests.treefmt import serialize_test_format
 
@@ -114,7 +123,8 @@ def worker(checkout, inputs_path, out_path):
             continue
         if kind == "frag":
             frag = parse_fragment(arg, data, config=Config(error_collection=True))
-            results.append(serialize_test_format(frag))
+            results.append((serialize_test_format(frag),
+                            [serialize(frag, **opts) for opts in SERIALIZE]))
             continue
         scripting, pi = arg
         out = parse(data, config=Config(error_collection=True, scripting=scripting,
@@ -122,7 +132,8 @@ def worker(checkout, inputs_path, out_path):
         spans, meta = extract_spans(data)
         meta = {k: v for k, v in meta.items() if k != "parse_ns"}
         results.append((serialize_test_format(out.document), out.quirks_mode,
-                        out.encoding, out.errors, spans, meta))
+                        out.encoding, out.errors, spans, meta,
+                        [serialize(out.document, **opts) for opts in SERIALIZE]))
     with open(out_path, "wb") as f:
         pickle.dump((html_extract.__file__, results), f)
 
@@ -151,7 +162,8 @@ def main(a, b):
     counts = {k: sum(1 for x in inputs if x[0] == k)
               for k in ("doc", "frag", "bytes", "tokens")}
     print(f"compared {len(inputs) - counts['tokens']} inputs ({counts['doc']} documents, "
-          f"{counts['frag']} fragments, {counts['bytes']} big pages) and "
+          f"{counts['frag']} fragments, {counts['bytes']} big pages; each tree serialized "
+          f"{len(SERIALIZE)} ways) and "
           f"{counts['tokens']} token runs: {len(bad)} differ")
     return 1 if bad else 0
 
