@@ -164,18 +164,51 @@ def sniff_bom(data: bytes):
     return None
 
 
+# WHATWG "parse a MIME type": HTTP whitespace, token code points, the
+# code points a parameter value may hold, type/subtype, and one
+# parameter (';', its name, then '=' and an HTTP quoted string or a
+# bare value; what follows a quoted string up to the next ';' is dropped)
+_HTTP_WS = "\t\n\r "
+_TOKEN_RE = re.compile(r"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")
+_QUOTED_VALUE_RE = re.compile(r"[\t\x20-\x7e\x80-\xff]*")
+_MIME_RE = re.compile(r"([^/]*)/([^;]*)(.*)", re.S)
+_PARAM_RE = re.compile(
+    r';[\t\n\r ]*([^;=]*)(?:=(?:"((?:\\.|[^"\\])*\\?)"?|([^;]*)))?[^;]*', re.S
+)
+
+
+def _mime_charset(value):
+    """The ``charset`` parameter of a MIME type string: None when the
+    string is no MIME type or has no valid ``charset`` parameter.  A
+    ``;`` inside a quoted value belongs to the value, a parameter name
+    is a token (no whitespace around ``=``), and the first valid
+    ``charset`` wins."""
+    m = _MIME_RE.fullmatch(value.strip(_HTTP_WS))
+    if not (m and _TOKEN_RE.fullmatch(m[1]) and _TOKEN_RE.fullmatch(m[2].rstrip(_HTTP_WS))):
+        return None
+    for name, quoted, bare in (p.groups() for p in _PARAM_RE.finditer(m[3])):
+        if quoted is not None:
+            val = re.sub(r"\\(.)", r"\1", quoted, flags=re.S)
+        else:
+            val = (bare or "").rstrip(_HTTP_WS)
+            if not val:
+                continue
+        if name.lower() == "charset" and _QUOTED_VALUE_RE.fullmatch(val):
+            return val
+    return None
+
+
 def from_content_type(content_type):
     """charset= parameter of a Content-Type value.  Charset.php:44-53.
 
-    The value is bare or ``"``-quoted: WHATWG MIME parsing quotes with
-    ``"`` only, so ``charset='x'`` names the label ``'x'`` (none)."""
+    The value is parsed as a WHATWG MIME type (``_mime_charset``): a
+    bare or ``"``-quoted value, so ``charset='x'`` names the label
+    ``'x'`` (none).  A string that is no MIME type may be a bare label
+    (reference behavior)."""
     if not content_type:
         return None
-    m = re.search(r";\s*charset\s*=\s*\"?([^\";]+)\"?", content_type, re.I)
-    if m:
-        return lookup_label(m.group(1))
-    # a bare label is accepted too (reference behavior)
-    return lookup_label(content_type)
+    label = _mime_charset(content_type)
+    return lookup_label(label if label is not None else content_type)
 
 
 def charset_from_meta_content(value):

@@ -9,7 +9,7 @@ fingerprinting) and windowed event aggregation.
 Design rules applied throughout (see ray_guide / SURVEY.md §4):
 - column pruning at the read,
 - vectorized per-batch kernels (pandas/numpy/pyarrow),
-- partial aggregation inside map_batches BEFORE any shuffle,
+- partial aggregation per batch BEFORE any shuffle,
 - every map is a task-pool stage: ``map_batches`` gets a plain function
   and no ``concurrency``, so a stage never starts a per-Dataset actor
   pool (one that holds every CPU starves the read and hangs a small
@@ -24,11 +24,16 @@ Design rules applied throughout (see ray_guide / SURVEY.md §4):
   when its rows all hash elsewhere; ``None`` only when the side had no
   non-empty block), so joins need no null padding and no schema probe.
   Partition 0 always runs, so ``fn`` also decides the schema of an
-  all-empty result.  Joins, semi/anti and as-of joins are per-partition
-  functions over it, and so is every aggregate: ``_aggregate(ds, keys,
-  combine, partial)`` runs ``partial`` per batch and ``combine`` per
-  key partition (default: sum by ``keys``); no keys means one partition,
-  run by a single task with no all-to-all,
+  all-empty result.  The exchange hands on Arrow only: a pandas result
+  is converted once at its boundary (``_arrow``).  Joins, semi/anti and
+  as-of joins are per-partition functions over it, and so is every
+  aggregate: ``_aggregate(ds, keys, combine, partial, **aggs)`` declares
+  each count/sum/min/max as ``name=(column, op)``, run as one Arrow
+  group-by per batch and again per key partition (``_group_by``);
+  ``partial`` is an Arrow per-batch step before it and ``combine`` a
+  pandas per-partition step after it (default: sum every non-key column
+  by ``keys``); no keys means one partition, run by a single task with
+  no all-to-all,
 - deterministic hashes only (blake2/md5/crc32 — never PYTHONHASHSEED-
   dependent builtins), so results are stable across machines,
 - every rule that several queries share is one helper, so no copy can
@@ -36,7 +41,7 @@ Design rules applied throughout (see ray_guide / SURVEY.md §4):
   pushed-down filter), ``_query_vectors`` (the bounded driver-side
   read), ``_head_embeddings`` (the smallest vec_ids), ``_dimension`` +
   ``_lookup`` (broadcast dimension join that drops orphan keys),
-  ``_by_digest`` (md5 digest groups), ``_term_counts`` and
+  ``_digests`` (md5 digest column), ``_term_counts`` and
   ``_stop_counts`` (per-document terms and stopwords), ``_top_counts``
   and ``_top_per_group`` (global and per-group top-k), and
   ``_query_topk`` / ``_bucket_topk`` / ``_rank_per_query`` (ANN
@@ -135,7 +140,7 @@ def _clean_schema(path, columns):
 # Ray Data's sort-based groupby().aggregate() pays ~per-group Python
 # overhead in the reduce (measured: 153k groups -> 78 s for a trivial
 # count), so `_aggregate` shrinks per batch first and combines per
-# PARTITION: P Python calls, each a vectorized pandas groupby, and no
+# PARTITION: P Python calls, each a vectorized Arrow group-by, and no
 # task ever sees the whole key space.  Its keyless form (one partition)
 # is for combines that need every row: top-k merges, sketches, rollups.
 
@@ -168,7 +173,8 @@ def _exchange(sides, fn, num_partitions=None) -> rd.Dataset:
     ``sides`` is a list of ``(Dataset, key_cols)``; all sides use the
     same partitioner, so equal keys meet in one partition.  The result
     is the concatenation of ``fn(part_id, *tables)`` over the partitions
-    (``None`` results are dropped).  ``fn`` runs for every partition id
+    (``None`` results are dropped; a pandas result is converted by
+    ``_arrow``).  ``fn`` runs for every partition id
     in ``range(P)`` once any side has a row.  Each table holds that
     partition's rows of one side, with the side's own Arrow types; it
     has zero rows when the side's rows all hash elsewhere, and it is
@@ -176,7 +182,8 @@ def _exchange(sides, fn, num_partitions=None) -> rd.Dataset:
     all-empty inputs ``fn`` still runs once, for partition 0 with every
     side ``None``, and decides the result's schema.
 
-    A side may add a third element, ``prep(block) -> pa.Table``, run on
+    A side may add a third element, ``prep(block) -> pa.Table`` (or a
+    pandas frame, converted by ``_arrow``), run on
     each of its input blocks inside the tag map (``key_cols`` then name
     columns of its output).  Ray never hands a map an empty block: it
     passes the block on unchanged, and each later map reports it as a
@@ -195,7 +202,7 @@ def _exchange(sides, fn, num_partitions=None) -> rd.Dataset:
     def tag(side, key_cols, prep=None):
         def f(t: pa.Table) -> pa.Table:
             if prep is not None:
-                t = prep(t)
+                t = _arrow(prep(t), [t])
             # pandas-born blocks carry b'pandas' schema metadata whose
             # decoded form is an unhashable dict (see _clean_schema)
             t = t.replace_schema_metadata(None)
@@ -252,15 +259,13 @@ def _exchange(sides, fn, num_partitions=None) -> rd.Dataset:
                     got[side_ids[i]].append(
                         pa.ipc.open_stream(blobs[i].as_buffer()).read_all()
                     )
-            out = fn(
-                int(part_ids[order[lo]]),
-                *(
-                    pa.concat_tables(g, promote_options="permissive") if g else None
-                    for g in got
-                ),
-            )
+            tables = [
+                pa.concat_tables(g, promote_options="permissive") if g else None
+                for g in got
+            ]
+            out = fn(int(part_ids[order[lo]]), *tables)
             if out is not None:
-                yield out
+                yield _arrow(out, tables)
 
     # R fixed ranges of consecutive partition ids, one task each (at
     # most one per CPU): no sampling stage, and no empty range, since
@@ -279,41 +284,101 @@ def _exchange(sides, fn, num_partitions=None) -> rd.Dataset:
     return ranges.map_batches(run, batch_format="pyarrow", batch_size=None)
 
 
-def _aggregate(ds: rd.Dataset, keys, combine=None, partial=None) -> rd.Dataset:
-    """``partial`` (when given) runs once per batch, on pandas; the rows
-    are hash-partitioned on ``keys`` and ``combine`` runs once per
-    partition on a pandas frame of its rows (rows with equal keys are
-    co-located; a partition may hold none, and ``combine`` then returns
-    a typed empty frame).  Empty ``keys`` means one partition, so
-    ``combine`` sees every row.  ``combine=None`` sums every non-key
-    column by ``keys`` (int64 stays int64).  No input rows give no
-    output rows."""
+def _arrow(out, inputs) -> pa.Table:
+    """``out`` as an Arrow table without schema metadata: a pandas frame
+    is converted once, and a zero-row one takes the type of a same-named
+    column of the first of ``inputs`` (Arrow tables or None) that has one
+    (pandas has no type for an empty object column)."""
+    if isinstance(out, pd.DataFrame):
+        t = pa.Table.from_pandas(out, preserve_index=False)
+        if t.num_rows == 0:
+            types = {}
+            for side in inputs:
+                for f in side.schema if side is not None else ():
+                    types.setdefault(f.name, f.type)
+            t = pa.table(
+                [pa.array([], types.get(f.name, f.type)) for f in t.schema],
+                names=t.column_names,
+            )
+        out = t
+    return out.replace_schema_metadata(None)
+
+
+# the declared aggregate ops, how each op's partial results merge, and
+# the options that give pandas group-by semantics
+_MERGE = {"count": "sum", "sum": "sum", "min": "min", "max": "max"}
+_OPTIONS = {
+    "count": pc.CountOptions(mode="all"),
+    "sum": pc.ScalarAggregateOptions(min_count=0),
+}
+
+
+def _group_by(t: pa.Table, keys, aggs: dict) -> pa.Table:
+    """One single-threaded Arrow group-by of ``t`` on ``keys``, as the
+    ``keys`` columns then one column per ``name=(column, op)`` of
+    ``aggs``, with the pandas semantics the queries were written for: a
+    row with a null key is dropped, ``count`` counts rows (null values
+    too), a sum over no values is 0, the float summation order does not
+    depend on threads, and no input rows give no output rows (no keys
+    included)."""
+    for k in keys:
+        if t[k].null_count:
+            t = t.filter(pc.is_valid(t[k]))
+    g = t.group_by(keys, use_threads=False).aggregate(
+        [(col, op, _OPTIONS.get(op)) for col, op in aggs.values()]
+    )
+    cols = [g[k] for k in keys] + [g[f"{col}_{op}"] for col, op in aggs.values()]
+    out = pa.table(cols, names=list(keys) + list(aggs))
+    return out if keys or t.num_rows else out.slice(0, 0)
+
+
+def _aggregate(ds: rd.Dataset, keys, combine=None, partial=None, **aggs) -> rd.Dataset:
+    """The one aggregate: rows are hash-partitioned on ``keys`` and every
+    partition's result is one Arrow table (empty ``keys``: one
+    partition, run by a single task).
+
+    Declared form: each ``name=(column, op)``, ``op`` one of count, sum,
+    min or max, is a ``_group_by`` on ``keys`` once per batch and again
+    per partition with the op's merge (count merges by sum).  With
+    neither ``aggs`` nor ``combine``, every non-key column is summed.
+    ``partial`` (when given) runs first on every batch, as a row-level
+    or shrinking step: an Arrow table in, an Arrow table (or a pandas
+    frame, converted once) out.  ``combine`` (when given) runs once per
+    partition after the declared merge, on a pandas frame of the
+    partition's rows (rows with equal keys are co-located; a keyed
+    partition may hold none), and its pandas result is converted to
+    Arrow once, a zero-row result taking the partition input's types for
+    same-named columns.  No input rows give no output rows; a keyed
+    aggregate over an input whose schema is known without executing it
+    (a read) then still gives its typed empty result."""
     keys = list(keys)
-    if partial is not None:
-        ds = ds.map_batches(partial, batch_format="pandas")
+    known = ds.schema(fetch_if_missing=False) if keys else None  # no execution
+    base = getattr(known, "base_schema", None)
+    empty = base.empty_table() if isinstance(base, pa.Schema) else None
+
+    def declared(t: pa.Table) -> dict:
+        if aggs or combine is not None:
+            return aggs
+        return {c: (c, "sum") for c in t.column_names if c not in keys}
+
+    def prep(t: pa.Table) -> pa.Table:
+        if partial is not None:
+            t = _arrow(partial(t), [t])
+        todo = declared(t)
+        return _group_by(t, keys, todo) if todo else t
 
     def run(part, t):
         if t is None:
-            return None
-        df = t.to_pandas()
-        if combine is not None:
-            return combine(df)
-        if keys:
-            return df.groupby(keys, as_index=False).sum()
-        return pd.DataFrame({c: [df[c].sum()] for c in df.columns})
+            if empty is None:
+                return None
+            t = prep(empty)
+        todo = declared(t)
+        if todo:
+            merge = {name: (name, _MERGE[op]) for name, (_, op) in todo.items()}
+            t = _group_by(t, keys, merge)
+        return t if combine is None else combine(t.to_pandas())
 
-    return _exchange([(ds, keys)], run, None if keys else 1)
-
-
-def _rename(ds: rd.Dataset, mapping: dict) -> rd.Dataset:
-    """Column rename that also normalizes blocks to Arrow (Dataset.
-    rename_columns projects over raw blocks and breaks on pandas-backed
-    ones)."""
-
-    def r(t: pa.Table) -> pa.Table:
-        return t.rename_columns([mapping.get(c, c) for c in t.column_names])
-
-    return ds.map_batches(r, batch_format="pyarrow")
+    return _exchange([(ds, keys, prep)], run, None if keys else 1)
 
 
 def _hash_join(left: rd.Dataset, right: rd.Dataset, on, how: str = "inner") -> rd.Dataset:
@@ -356,22 +421,14 @@ def _hash_join(left: rd.Dataset, right: rd.Dataset, on, how: str = "inner") -> r
 def doc_stats_by_source(sf_dir) -> rd.Dataset:
     """Per-source document count and total characters."""
     ds = _read(sf_dir, "documents", ["source", "n_chars"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("source", as_index=False).agg(
-            n_docs=("n_chars", "size"), sum_chars=("n_chars", "sum")
-        )
-
-    return _aggregate(ds, ["source"], partial=partial)
+    return _aggregate(
+        ds, ["source"], n_docs=("n_chars", "count"), sum_chars=("n_chars", "sum")
+    )
 
 
 def lang_distribution(sf_dir) -> rd.Dataset:
     ds = _read(sf_dir, "documents", ["lang"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("lang", as_index=False).agg(n_docs=("lang", "size"))
-
-    return _aggregate(ds, ["lang"], partial=partial)
+    return _aggregate(ds, ["lang"], n_docs=("lang", "count"))
 
 
 def doc_size_histogram(sf_dir) -> pd.DataFrame:
@@ -386,14 +443,14 @@ def doc_size_histogram(sf_dir) -> pd.DataFrame:
         hist = np.bincount(idx, minlength=len(edges) + 1)
         return pa.table({f"b{i}": [int(hist[i])] for i in range(len(edges) + 1)})
 
-    totals = ds.map_batches(partial, batch_format="pyarrow").sum(
-        [f"b{i}" for i in range(len(edges) + 1)]
-    )
+    totals = _aggregate(ds, [], partial=partial).take_all()
     labels = [str(e) for e in edges] + ["inf"]
     return pd.DataFrame(
         {
             "bucket": labels,
-            "n_docs": [int(totals[f"sum(b{i})"]) for i in range(len(edges) + 1)],
+            "n_docs": [
+                int(totals[0][f"b{i}"]) if totals else 0 for i in range(len(edges) + 1)
+            ],
         }
     )
 
@@ -526,11 +583,7 @@ def top_users_by_events(sf_dir, k: int = 10) -> pd.DataFrame:
     """Top-k users by event count (partial counts -> combine -> top-k;
     deterministic tie-break on user_id)."""
     ds = _read(sf_dir, "events", ["user_id"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("user_id", as_index=False).agg(n=("user_id", "size"))
-
-    return _top_counts(ds, partial, "user_id", k)
+    return _top_counts(ds, None, "user_id", k)
 
 
 def sampled_docs(sf_dir, fraction=0.1, seed=7) -> rd.Dataset:
@@ -569,16 +622,16 @@ def lineitem_pricing_summary(sf_dir) -> rd.Dataset:
         ["l_returnflag", "l_linestatus", "l_quantity"],
     )
 
-    keys = ["l_returnflag", "l_linestatus"]
+    def integral(t: pa.Table) -> pa.Table:
+        return t.append_column("q", t["l_quantity"].cast(pa.int64()))
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(keys, as_index=False).agg(
-            n_items=("l_quantity", "size"), sum_qty=("l_quantity", "sum")
-        )
-        g["sum_qty"] = g["sum_qty"].astype("int64")
-        return g
-
-    return _aggregate(ds, keys, partial=partial)
+    return _aggregate(
+        ds,
+        ["l_returnflag", "l_linestatus"],
+        partial=integral,
+        n_items=("q", "count"),
+        sum_qty=("q", "sum"),
+    )
 
 
 def word_frequencies(sf_dir, k: int = 50) -> pd.DataFrame:
@@ -591,29 +644,26 @@ def word_frequencies(sf_dir, k: int = 50) -> pd.DataFrame:
     determinism."""
     ds = _read(sf_dir, "documents", ["text"])
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        words = df["text"].str.split().explode()
-        g = words.value_counts().reset_index()
-        g.columns = ["word", "n"]
-        return g
+    def words(t: pa.Table) -> pd.DataFrame:
+        return pd.DataFrame({"word": t["text"].to_pandas().str.split().explode()})
 
-    return _top_counts(ds, partial, "word", k)
+    return _top_counts(ds, words, "word", k)
 
 
 def _top_counts(ds, partial, key: str, k: int) -> pd.DataFrame:
-    """Global top-k of the (key, n) counts ``partial`` emits per batch:
-    keyed combine + top-k per key-hash partition, then the driver merges
-    only P*k candidate rows.  Ties break to the smaller key."""
+    """Global top-k of the row count ``n`` per ``key`` (of the rows
+    ``partial`` emits per batch, when given): keyed count + top-k per
+    key-hash partition, then the driver merges only P*k candidate rows.
+    Ties break to the smaller key."""
     order = dict(by=["n", key], ascending=[False, True])
 
-    def combine_topk(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(key, as_index=False).agg(n=("n", "sum"))
+    def top(g: pd.DataFrame) -> pd.DataFrame:
         return g.sort_values(**order).head(k)
 
-    agg = _aggregate(ds, [key], combine_topk, partial).to_pandas()
+    agg = _aggregate(ds, [key], top, partial, n=(key, "count")).to_pandas()
     if key not in agg.columns:  # empty corpus
         return pd.DataFrame({key: pd.Series(dtype=object), "n": pd.Series(dtype="int64")})
-    return agg.sort_values(**order, ignore_index=True).head(k).astype({"n": "int64"})
+    return agg.sort_values(**order, ignore_index=True).head(k)
 
 
 def _top_per_group(ds, keys, by, ascending, k, columns, prep=None) -> rd.Dataset:
@@ -633,12 +683,16 @@ def _top_per_group(ds, keys, by, ascending, k, columns, prep=None) -> rd.Dataset
     def cut(df: pd.DataFrame) -> pd.DataFrame:
         return groups(df.sort_values(**order)).head(k)
 
+    def shrink(t: pa.Table) -> pd.DataFrame:
+        df = t.to_pandas()
+        return cut(prep(df) if prep else df)
+
     def combine(g: pd.DataFrame) -> pd.DataFrame:
         top = cut(g)
         rank = (groups(top).cumcount() + 1).astype("int64")
         return top[keys + columns].assign(rank=rank)
 
-    return _aggregate(ds, keys, combine, lambda df: cut(prep(df) if prep else df))
+    return _aggregate(ds, keys, combine, shrink)
 
 
 def normalized_text(sf_dir) -> rd.Dataset:
@@ -684,41 +738,24 @@ def doc_fingerprints(sf_dir) -> rd.Dataset:
 # dedup
 
 
-def _by_digest(t: pa.Table, **agg) -> pa.Table:
-    """One row per distinct text of a batch: the RAW 16-byte md5 digest
-    ``h`` of the text (binary, half the bytes of the hex form; the text
-    itself never shuffles) and the named aggregations ``agg`` over the
-    batch's other columns, as int64."""
-    df = pd.DataFrame({c: t[c].to_numpy() for c in t.column_names if c != "text"})
-    df["h"] = [hashlib.md5(s.encode("utf-8")).digest() for s in t["text"].to_pylist()]
-    g = df.groupby("h", as_index=False, sort=False).agg(**agg)
-    return pa.table(
-        {"h": pa.array(list(g["h"]), pa.binary(16))}
-        | {c: pa.array(g[c].to_numpy(np.int64)) for c in agg}
-    )
+def _digests(t: pa.Table) -> pa.Table:
+    """``t`` with its ``text`` column replaced by the RAW 16-byte md5
+    digest ``h`` of the text (binary, half the bytes of the hex form;
+    the text itself never shuffles)."""
+    h = [hashlib.md5(s.encode("utf-8")).digest() for s in t["text"].to_pylist()]
+    return t.drop_columns(["text"]).append_column("h", pa.array(h, pa.binary(16)))
 
 
 def exact_dedup(sf_dir) -> rd.Dataset:
     """Exact dedup: hash-partition on content hash, keep min doc_id.
 
-    Scale shape: the shuffle key is the md5 digest (``_by_digest``);
-    per-batch partial shrink first; the combine runs once per key-hash
-    PARTITION, so no worker ever holds the full distinct-hash set."""
+    Scale shape: the shuffle key is the md5 digest (``_digests``); the
+    min is taken per batch first and again per key-hash PARTITION, so
+    no worker ever holds the full distinct-hash set."""
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        return _by_digest(t, doc_id=("doc_id", "min"))
-
-    def combine(part, t):
-        if t is None:  # empty corpus: a typed empty result
-            return pa.table({"doc_id": pa.array([], pa.int64())})
-        out = t.to_pandas().groupby("h", as_index=False, sort=False).agg(
-            doc_id=("doc_id", "min")
-        )
-        return out[["doc_id"]]
-
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-    return _exchange([(partials, ["h"])], combine)
+    return _aggregate(
+        ds, ["h"], lambda g: g[["doc_id"]], _digests, doc_id=("doc_id", "min")
+    )
 
 
 _MINHASH_PERMS = 128
@@ -860,13 +897,7 @@ def minhash_candidates(sf_dir, cap=64) -> rd.Dataset:
 
     def bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
         dup = g[g.duplicated(["band", "band_hash"], keep=False)]
-        empty = pd.DataFrame(
-            {
-                "a": dup["doc_id"][:0],
-                "b": dup["doc_id"][:0],
-                "n_bands": pd.Series([], dtype="int64"),
-            }
-        )
+        empty = pd.DataFrame({"a": dup["doc_id"][:0], "b": dup["doc_id"][:0]})
         if len(dup) == 0:
             return empty
         sizes = dup.groupby(["band", "band_hash"])["doc_id"].transform("size")
@@ -883,23 +914,16 @@ def minhash_candidates(sf_dir, cap=64) -> rd.Dataset:
                 {"doc_id_x": rep, "doc_id_y": big["doc_id"]}
             )
             parts.append(star[star["doc_id_x"] < star["doc_id_y"]])
-        allp = pd.concat(parts, ignore_index=True) if parts else None
-        if allp is None or len(allp) == 0:
+        if not parts:
             return empty
-        out = (
-            allp.groupby(["doc_id_x", "doc_id_y"], sort=False)
-            .size()
-            .reset_index(name="n_bands")
-            .rename(columns={"doc_id_x": "a", "doc_id_y": "b"})
-        )
-        return out
+        return pd.concat(parts, ignore_index=True).set_axis(["a", "b"], axis=1)
 
-    pair_partials = _aggregate(bands, ["band", "band_hash"], bucket_pairs)
+    pairs = _aggregate(bands, ["band", "band_hash"], bucket_pairs)
 
-    # Final per-pair band-count sum, distributed: a pair's partial
-    # counts co-locate in one (a, b)-hash partition, so no single task
-    # (and never the driver) holds the full pair set.
-    return _aggregate(pair_partials, ["a", "b"])
+    # Final per-pair band count, distributed: a pair's rows co-locate in
+    # one (a, b)-hash partition, so no single task (and never the
+    # driver) holds the full pair set.
+    return _aggregate(pairs, ["a", "b"], n_bands=("a", "count"))
 
 
 def _shingle_prep(bits_ref, id_col: str, sh_col: str):
@@ -1067,53 +1091,29 @@ def _cc_distributed(edges: rd.Dataset, max_iter=25) -> rd.Dataset:
     merge with current labels, stop when no label changed.  Rounds ~
     O(component diameter); near-dup clusters are shallow."""
 
-    def both_dirs(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "src": pd.concat([df["a"], df["b"]], ignore_index=True),
-                "dst": pd.concat([df["b"], df["a"]], ignore_index=True),
-            }
-        )
+    def both_dirs(t: pa.Table) -> pa.Table:
+        a, b = t["a"].combine_chunks(), t["b"].combine_chunks()
+        return pa.table({"src": pa.concat_arrays([a, b]), "dst": pa.concat_arrays([b, a])})
 
-    dedges = edges.map_batches(both_dirs, batch_format="pandas").materialize()
+    dedges = edges.map_batches(both_dirs, batch_format="pyarrow").materialize()
+    # every node starts as its own label
+    labels = _aggregate(dedges, ["src"], label=("src", "min"))
+    labels = labels.rename_columns({"src": "node"}).materialize()
 
-    def distinct_nodes(g: pd.DataFrame) -> pd.DataFrame:
-        out = g[["src"]].drop_duplicates()
-        out = out.rename(columns={"src": "node"})
-        out["label"] = out["node"]
-        return out
-
-    labels = _aggregate(dedges, ["src"], distinct_nodes).materialize()
-
-    def min_in_partial(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("dst", as_index=False).agg(cand=("label", "min"))
-
-    def min_in_combine(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("dst", as_index=False).agg(cand=("cand", "min"))
+    def update(t: pa.Table) -> pa.Table:
+        new = pc.min_element_wise(t["label"], t["cand"])  # a null cand: no edge in
+        changed = pc.not_equal(new, t["label"]).cast(pa.int64())
+        return pa.table({"node": t["node"], "label": new, "changed": changed})
 
     for _ in range(max_iter):
-        j = _hash_join(dedges, _rename(labels, {"node": "src"}), ("src",))
-        cand = _aggregate(
-            j.select_columns(["dst", "label"]), ["dst"], min_in_combine, min_in_partial
-        )
-        merged = _hash_join(labels, _rename(cand, {"dst": "node"}), ("node",), "left")
-
-        def update(df: pd.DataFrame) -> pd.DataFrame:
-            new = df["label"].where(
-                df["cand"].isna() | (df["label"] <= df["cand"]), df["cand"]
-            ).astype(df["node"].dtype)
-            return pd.DataFrame(
-                {
-                    "node": df["node"],
-                    "label": new,
-                    "changed": (new != df["label"]).astype("int64"),
-                }
-            )
-
-        upd = merged.map_batches(update, batch_format="pandas").materialize()
-        changed = upd.sum("changed")
+        j = _hash_join(dedges, labels.rename_columns({"node": "src"}), ("src",))
+        cand = _aggregate(j, ["dst"], cand=("label", "min"))
+        cand = cand.rename_columns({"dst": "node"})
+        merged = _hash_join(labels, cand, ("node",), "left")
+        upd = merged.map_batches(update, batch_format="pyarrow").materialize()
+        changed = _aggregate(upd, [], n=("changed", "sum")).take_all()
         labels = upd.select_columns(["node", "label"]).materialize()
-        if not changed:
+        if not changed or not changed[0]["n"]:
             break
     return labels
 
@@ -1160,18 +1160,13 @@ def minhash_dedup(sf_dir, jaccard_threshold_pct=80) -> rd.Dataset:
     if n_pairs <= _CC_DRIVER_MAX_PAIRS:
         vp = verified.to_pandas()
         roots = _cc_driver(zip(vp["a"], vp["b"]))
-        labels = rd.from_pandas(
-            pd.DataFrame(
-                {
-                    "node": list(roots.keys()),
-                    "label": list(roots.values()),
-                }
-            )
+        labels = rd.from_arrow(
+            pa.table({"node": list(roots.keys()), "label": list(roots.values())})
         )
     else:
         labels = _cc_distributed(verified)
 
-    joined = _hash_join(ids, _rename(labels, {"node": "doc_id"}), ("doc_id",), "left")
+    joined = _hash_join(ids, labels.rename_columns({"node": "doc_id"}), ("doc_id",), "left")
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         lab = df["label"].where(df["label"].notna(), df["doc_id"])
@@ -1503,16 +1498,13 @@ def events_hourly(sf_dir) -> rd.Dataset:
     a tiny groupby over (event_type, hour)."""
     ds = _read(sf_dir, "events", ["event_type", "ts"])
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        hour = df["ts"].dt.floor("h").astype("datetime64[us]").astype(str)
-        return (
-            pd.DataFrame({"event_type": df["event_type"], "hour": hour})
-            .groupby(["event_type", "hour"], sort=False)
-            .size()
-            .reset_index(name="n_events")
-        )
+    def hours(t: pa.Table) -> pa.Table:
+        hour = t["ts"].to_pandas().dt.floor("h").astype("datetime64[us]").astype(str)
+        return pa.table({"event_type": t["event_type"], "hour": pa.array(hour, pa.string())})
 
-    return _aggregate(ds, ["event_type", "hour"], partial=partial)
+    return _aggregate(
+        ds, ["event_type", "hour"], partial=hours, n_events=("hour", "count")
+    )
 
 
 def user_sessions(sf_dir, gap_minutes=30) -> rd.Dataset:
@@ -1622,27 +1614,17 @@ def top_parts_by_quantity(sf_dir, k: int = 10) -> pd.DataFrame:
     map — no shuffle join), then a tiny combine + top-k."""
     lookup_ref = ray.put(_dimension(sf_dir, "part", "p_partkey", "p_name"))
 
-    def join_sum(t: pa.Table) -> pa.Table:
-        qty = t["l_quantity"].to_numpy(zero_copy_only=False)
-        valid, names = _lookup(
-            ray.get(lookup_ref), t["l_partkey"].to_numpy(zero_copy_only=False)
-        )
-        df = pd.DataFrame({"p_name": names, "q": qty[valid]})
-        g = df.groupby("p_name", as_index=False, sort=False).agg(q=("q", "sum"))
-        return pa.table(
-            {
-                "p_name": pa.array(g["p_name"], pa.string()),
-                "total_qty": pa.array(g["q"].astype("int64"), pa.int64()),
-            }
-        )
+    def join(t: pa.Table) -> pa.Table:
+        qty = t["l_quantity"].cast(pa.int64()).to_numpy()
+        valid, names = _lookup(ray.get(lookup_ref), t["l_partkey"].to_numpy())
+        return pa.table({"p_name": pa.array(names, pa.string()), "q": qty[valid]})
 
     ds = _read(sf_dir, "lineitem", ["l_partkey", "l_quantity"])
-    partials = ds.map_batches(join_sum, batch_format="pyarrow")
-    agg = _aggregate(partials, ["p_name"]).to_pandas()
+    agg = _aggregate(ds, ["p_name"], partial=join, total_qty=("q", "sum")).to_pandas()
     agg = agg.sort_values(
         ["total_qty", "p_name"], ascending=[False, True], ignore_index=True
     )
-    return agg.head(k).astype({"total_qty": "int64"})
+    return agg.head(k)
 
 
 def dup_group_histogram(sf_dir) -> rd.Dataset:
@@ -1656,18 +1638,12 @@ def dup_group_histogram(sf_dir) -> rd.Dataset:
     histograms summed by n_copies."""
     ds = _read(sf_dir, "documents", ["text"])
 
-    def partial(t: pa.Table) -> pa.Table:
-        return _by_digest(t, n=("h", "size"))
-
-    def combine(g: pd.DataFrame) -> pd.DataFrame:
-        sizes = g.groupby("h", as_index=False).agg(n=("n", "sum"))["n"]
-        hist = sizes.value_counts().reset_index()
+    def histogram(g: pd.DataFrame) -> pd.DataFrame:
+        hist = g["n"].value_counts().reset_index()
         hist.columns = ["n_copies", "n_groups"]
-        return hist.astype({"n_copies": "int64", "n_groups": "int64"})
+        return hist
 
-    per_part = _aggregate(
-        ds.map_batches(partial, batch_format="pyarrow"), ["h"], combine
-    )
+    per_part = _aggregate(ds, ["h"], histogram, _digests, n=("h", "count"))
     return _aggregate(per_part, ["n_copies"])
 
 
@@ -2120,14 +2096,11 @@ def top_bigrams(sf_dir, k: int = 50) -> pd.DataFrame:
     driver."""
     ds = _read(sf_dir, "documents", ["text"])
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        words = df["text"].str.findall(r"\S+")
+    def partial(t: pa.Table) -> pd.DataFrame:
+        words = t["text"].to_pandas().str.findall(r"\S+")
         lens = words.str.len().to_numpy(dtype=np.int64)
         if int(lens.sum()) == 0:
-            return pd.DataFrame(
-                {"bigram": pd.Series(dtype=object),
-                 "n": pd.Series(dtype="int64")}
-            )
+            return pd.DataFrame({"bigram": pd.Series(dtype=object)})
         flat = np.concatenate([np.asarray(w, dtype=object) for w in words])
         pairs = flat[:-1] + " " + flat[1:]
         # mask the seam between consecutive documents: the last token
@@ -2136,9 +2109,7 @@ def top_bigrams(sf_dir, k: int = 50) -> pd.DataFrame:
         ends = np.cumsum(lens) - 1
         seams = ends[(ends >= 0) & (ends < flat.size - 1)]
         keep[seams] = False
-        g = pd.Series(pairs[keep]).value_counts().reset_index()
-        g.columns = ["bigram", "n"]
-        return g
+        return pd.DataFrame({"bigram": pairs[keep]})
 
     return _top_counts(ds, partial, "bigram", k)
 
@@ -2200,30 +2171,19 @@ def props_key_stats(sf_dir) -> rd.Dataset:
     per event_type partition."""
     ds = _read(sf_dir, "events", ["event_type", "props"])
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        k = (
-            df["props"]
-            .str.extract(r'"k":\s*(\d+)', expand=False)
-            .fillna("0")
-            .astype("int64")
-        )
-        g = (
-            pd.DataFrame({"event_type": df["event_type"], "k": k})
-            .groupby("event_type", as_index=False)
-            .agg(n_events=("k", "size"), sum_k=("k", "sum"), max_k=("k", "max"))
-        )
-        return g
+    def field_k(t: pa.Table) -> pa.Table:
+        k = t["props"].to_pandas().str.extract(r'"k":\s*(\d+)', expand=False)
+        k = pa.array(k.fillna("0").astype("int64"))
+        return pa.table({"event_type": t["event_type"], "k": k})
 
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("event_type", as_index=False).agg(
-            n_events=("n_events", "sum"), sum_k=("sum_k", "sum"),
-            max_k=("max_k", "max")
-        )
-        for c in ("n_events", "sum_k", "max_k"):
-            g[c] = g[c].astype("int64")
-        return g
-
-    return _aggregate(ds, ["event_type"], combine, partial)
+    return _aggregate(
+        ds,
+        ["event_type"],
+        partial=field_k,
+        n_events=("k", "count"),
+        sum_k=("k", "sum"),
+        max_k=("k", "max"),
+    )
 
 
 def _term_counts(df: pd.DataFrame) -> pd.DataFrame:
@@ -2286,20 +2246,14 @@ def chars_percentiles(sf_dir, pcts=(25, 50, 75, 90, 99)) -> pd.DataFrame:
     reaches ``ceil(p/100 * total)`` (inclusive-rank definition, same
     formula in the DuckDB oracle)."""
     ds = _read(sf_dir, "documents", ["n_chars"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        g = df["n_chars"].value_counts().reset_index()
-        g.columns = ["v", "n"]
-        return g
-
-    hist = _aggregate(ds, ["v"], partial=partial).to_pandas()
+    hist = _aggregate(ds, ["n_chars"], n=("n_chars", "count")).to_pandas()
     if hist.empty:
         return pd.DataFrame({"p": pd.Series(dtype="int64"),
                              "value": pd.Series(dtype="int64")})
-    hist = hist.sort_values("v", ignore_index=True)
+    hist = hist.sort_values("n_chars", ignore_index=True)
     cs = hist["n"].cumsum().to_numpy()
     total = int(cs[-1])
-    vals = hist["v"].to_numpy()
+    vals = hist["n_chars"].to_numpy()
     out = []
     for p in pcts:
         rank = -(-p * total // 100)  # ceil(p*total/100) in ints
@@ -2433,21 +2387,22 @@ def source_label_stats(sf_dir) -> rd.Dataset:
     ``_aggregate``.  The shuffle moves only the 4 needed columns; the
     driver never sees a row."""
     docs = _read(sf_dir, "documents", ["doc_id", "source", "n_chars"])
-    embs = _rename(
-        _read(sf_dir, "embeddings", ["vec_id", "label"]),
-        {"vec_id": "doc_id"},
+    embs = _read(sf_dir, "embeddings", ["vec_id", "label"]).rename_columns(
+        {"vec_id": "doc_id"}
     )
     joined = _hash_join(docs, embs, on=["doc_id"])
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        g = (
-            df.groupby(["source", "label"], sort=False)
-            .agg(n_docs=("doc_id", "size"), sum_chars=("n_chars", "sum"))
-            .reset_index()
-        )
-        return g.astype({"label": "int64", "n_docs": "int64", "sum_chars": "int64"})
+    def int_label(t: pa.Table) -> pa.Table:
+        i = t.schema.get_field_index("label")
+        return t.set_column(i, "label", t["label"].cast(pa.int64()))
 
-    return _aggregate(joined, ["source", "label"], partial=partial)
+    return _aggregate(
+        joined,
+        ["source", "label"],
+        partial=int_label,
+        n_docs=("doc_id", "count"),
+        sum_chars=("n_chars", "sum"),
+    )
 
 
 def shipping_priority(
@@ -2517,30 +2472,13 @@ def shipping_priority(
         on=["l_orderkey"],
     )
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        g = (
-            df.groupby(
-                ["l_orderkey", "o_orderdate", "o_orderpriority"], sort=False
-            )["rev"]
-            .sum()
-            .reset_index(name="revenue")
-        )
-        return g
-
-    def combine(g: pd.DataFrame) -> pd.DataFrame:
-        out = (
-            g.groupby(
-                ["l_orderkey", "o_orderdate", "o_orderpriority"], sort=False
-            )["revenue"]
-            .sum()
-            .reset_index()
-        )
+    def top(g: pd.DataFrame) -> pd.DataFrame:
         # per-partition top-k: only P*k rows ever reach the driver
-        return out.sort_values(
-            ["revenue", "l_orderkey"], ascending=[False, True]
-        ).head(k)
+        return g.sort_values(["revenue", "l_orderkey"], ascending=[False, True]).head(k)
 
-    parts = _aggregate(j2, ["l_orderkey"], combine, partial).to_pandas()
+    parts = _aggregate(
+        j2, ["l_orderkey", "o_orderdate", "o_orderpriority"], top, revenue=("rev", "sum")
+    ).to_pandas()
     top = parts.sort_values(
         ["revenue", "l_orderkey"], ascending=[False, True], ignore_index=True
     ).head(k)
@@ -2579,15 +2517,15 @@ def _bloom_build(keys_ds: rd.Dataset, on: str, n_bits: int) -> np.ndarray:
     the partials into one ``n_bits/8``-byte array.  No false negatives
     ever."""
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
+    def partial(t: pa.Table) -> pa.Table:
         bits = np.zeros(n_bits // 8, dtype=np.uint8)
-        for p in _bloom_probes(df[on], n_bits):
+        for p in _bloom_probes(t[on].to_pandas(), n_bits):
             # unbuffered |= : duplicate byte indices must all land
             np.bitwise_or.at(
                 bits, p // 8,
                 np.left_shift(np.uint8(1), (p % 8).astype(np.uint8)),
             )
-        return pd.DataFrame({"bits": [bits.tobytes()]})
+        return pa.table({"bits": [bits.tobytes()]})
 
     def combine(df: pd.DataFrame) -> pd.DataFrame:
         parts = [np.frombuffer(b, dtype=np.uint8) for b in df["bits"]]
@@ -2657,13 +2595,7 @@ def priority_semi_counts(sf_dir, flag: str = "R") -> rd.Dataset:
     )
 
     hits = _semi_anti_join(orders, li, on="o_orderkey")
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("o_orderpriority", sort=False).size().reset_index(
-            name="n_orders"
-        )
-
-    return _aggregate(hits, ["o_orderpriority"], partial=partial)
+    return _aggregate(hits, ["o_orderpriority"], n_orders=("o_orderkey", "count"))
 
 
 def churned_customers(sf_dir, cutoff: str = "2000-01-01") -> rd.Dataset:
@@ -2691,16 +2623,17 @@ def churned_customers(sf_dir, cutoff: str = "2000-01-01") -> rd.Dataset:
 
     idle = _semi_anti_join(cust, orders, on="c_custkey", anti=True)
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.assign(
-            _cents=np.rint(df["c_acctbal"].to_numpy() * 100).astype(np.int64)
-        )
-        return df.groupby("c_mktsegment", as_index=False).agg(
-            n_customers=("c_custkey", "size"),
-            sum_acctbal_cents=("_cents", "sum"),
-        )
+    def cents(t: pa.Table) -> pa.Table:
+        bal = t["c_acctbal"].to_numpy()
+        return t.append_column("_cents", pa.array(np.rint(bal * 100).astype(np.int64)))
 
-    return _aggregate(idle, ["c_mktsegment"], partial=partial)
+    return _aggregate(
+        idle,
+        ["c_mktsegment"],
+        partial=cents,
+        n_customers=("c_custkey", "count"),
+        sum_acctbal_cents=("_cents", "sum"),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -2727,28 +2660,17 @@ def event_interarrival(sf_dir) -> rd.Dataset:
         same[1:] = uid[1:] == uid[:-1]
         gap = np.zeros(len(g), dtype=np.int64)
         gap[1:] = us[1:] - us[:-1]
-        d = pd.DataFrame(
-            {
-                "event_type": g["event_type"].to_numpy()[same],
-                "gap_us": gap[same],
-            }
-        )
-        return d.groupby("event_type", as_index=False).agg(
-            n_gaps=("gap_us", "size"),
-            sum_gap_us=("gap_us", "sum"),
-            max_gap_us=("gap_us", "max"),
+        return pd.DataFrame(
+            {"event_type": g["event_type"].to_numpy()[same], "gap_us": gap[same]}
         )
 
-    partials = _aggregate(ds, ["user_id"], gaps)
-
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("event_type", as_index=False).agg(
-            n_gaps=("n_gaps", "sum"),
-            sum_gap_us=("sum_gap_us", "sum"),
-            max_gap_us=("max_gap_us", "max"),
-        )
-
-    return _aggregate(partials, ["event_type"], combine)
+    return _aggregate(
+        _aggregate(ds, ["user_id"], gaps),
+        ["event_type"],
+        n_gaps=("gap_us", "count"),
+        sum_gap_us=("gap_us", "sum"),
+        max_gap_us=("gap_us", "max"),
+    )
 
 
 _HLL_P = 12  # 4096 registers; ~1.6% standard error
@@ -2783,7 +2705,8 @@ def approx_distinct_users(sf_dir) -> pd.DataFrame:
     pinned by pytest."""
     ds = _read(sf_dir, "events", ["event_type", "user_id"])
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
+    def partial(t: pa.Table) -> pd.DataFrame:
+        df = t.to_pandas()
         h = pd.util.hash_pandas_object(
             df["user_id"], index=False
         ).to_numpy(dtype=np.uint64)
@@ -2839,16 +2762,19 @@ def price_band_stats(sf_dir) -> rd.Dataset:
     ds = _read(sf_dir, "lineitem", ["l_extendedprice"])
     edges = np.asarray(_PRICE_BAND_EDGES, dtype=np.float64)
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        price = df["l_extendedprice"].to_numpy()
-        band = np.searchsorted(edges, price, side="right") - 1
+    def band(t: pa.Table) -> pa.Table:
+        price = t["l_extendedprice"].to_numpy()
+        lo = edges[np.searchsorted(edges, price, side="right") - 1]
         cents = np.rint(price * 100).astype(np.int64)
-        g = pd.DataFrame(
-            {"band_lo": edges[band].astype(np.int64), "cents": cents}
-        ).groupby("band_lo", as_index=False)
-        return g.agg(n_items=("cents", "size"), revenue_cents=("cents", "sum"))
+        return pa.table({"band_lo": lo.astype(np.int64), "cents": cents})
 
-    return _aggregate(ds, ["band_lo"], partial=partial)
+    return _aggregate(
+        ds,
+        ["band_lo"],
+        partial=band,
+        n_items=("cents", "count"),
+        revenue_cents=("cents", "sum"),
+    )
 
 
 def source_lang_rollup(sf_dir) -> rd.Dataset:
@@ -2860,13 +2786,12 @@ def source_lang_rollup(sf_dir) -> rd.Dataset:
     rows (cardinality = distinct pairs, never raw rows) in one tiny
     final task."""
     ds = _read(sf_dir, "documents", ["source", "lang", "n_chars"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby(["source", "lang"], as_index=False).agg(
-            n_docs=("n_chars", "size"), sum_chars=("n_chars", "sum")
-        )
-
-    finest = _aggregate(ds, ["source", "lang"], partial=partial)
+    finest = _aggregate(
+        ds,
+        ["source", "lang"],
+        n_docs=("n_chars", "count"),
+        sum_chars=("n_chars", "sum"),
+    )
 
     def rollup(df: pd.DataFrame) -> pd.DataFrame:
         by_source = df.groupby("source", as_index=False).agg(
@@ -2907,32 +2832,30 @@ def small_quantity_revenue(sf_dir) -> rd.Dataset:
         sf_dir, "lineitem", ["l_partkey", "l_quantity", "l_extendedprice"]
     )
 
-    def stat_partial(df: pd.DataFrame) -> pd.DataFrame:
-        q = np.rint(df["l_quantity"].to_numpy()).astype(np.int64)
-        return (
-            pd.DataFrame({"l_partkey": df["l_partkey"], "q": q})
-            .groupby("l_partkey", as_index=False)
-            .agg(s=("q", "sum"), n=("q", "size"))
-        )
+    def integral(t: pa.Table) -> pa.Table:
+        q = np.rint(t["l_quantity"].to_numpy()).astype(np.int64)
+        return pa.table({"l_partkey": t["l_partkey"], "q": q})
 
-    stats = _aggregate(li, ["l_partkey"], partial=stat_partial)
+    stats = _aggregate(li, ["l_partkey"], partial=integral, s=("q", "sum"), n=("q", "count"))
 
     brand_ref = ray.put(_dimension(sf_dir, "part", "p_partkey", "p_brand"))
 
     joined = _hash_join(li, stats, on=["l_partkey"])
 
-    def filter_brand(df: pd.DataFrame) -> pd.DataFrame:
-        q = np.rint(df["l_quantity"].to_numpy()).astype(np.int64)
-        keep = 5 * q * df["n"].to_numpy() < df["s"].to_numpy()
-        cents = np.rint(df["l_extendedprice"].to_numpy()[keep] * 100).astype(np.int64)
-        valid, brands = _lookup(ray.get(brand_ref), df["l_partkey"].to_numpy()[keep])
-        return (
-            pd.DataFrame({"p_brand": brands, "cents": cents[valid]})
-            .groupby("p_brand", as_index=False)
-            .agg(n_items=("cents", "size"), revenue_cents=("cents", "sum"))
-        )
+    def filter_brand(t: pa.Table) -> pa.Table:
+        q = np.rint(t["l_quantity"].to_numpy()).astype(np.int64)
+        keep = 5 * q * t["n"].to_numpy() < t["s"].to_numpy()
+        cents = np.rint(t["l_extendedprice"].to_numpy()[keep] * 100).astype(np.int64)
+        valid, brands = _lookup(ray.get(brand_ref), t["l_partkey"].to_numpy()[keep])
+        return pa.table({"p_brand": pa.array(brands, pa.string()), "cents": cents[valid]})
 
-    return _aggregate(joined, ["p_brand"], partial=filter_brand)
+    return _aggregate(
+        joined,
+        ["p_brand"],
+        partial=filter_brand,
+        n_items=("cents", "count"),
+        revenue_cents=("cents", "sum"),
+    )
 
 
 # the corpus' closed lang set — documented contract shared with the
@@ -2950,7 +2873,8 @@ def lang_source_pivot(sf_dir) -> rd.Dataset:
     ds = _read(sf_dir, "documents", ["source", "lang"])
     cols = [f"n_{l}" for l in _PIVOT_LANGS]
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
+    def partial(t: pa.Table) -> pd.DataFrame:
+        df = t.to_pandas()
         wide = pd.crosstab(df["source"], df["lang"])
         wide = wide.reindex(columns=_PIVOT_LANGS, fill_value=0).astype(
             np.int64
@@ -2989,8 +2913,8 @@ def heavy_hitters(sf_dir, phi_den: int = 1000) -> pd.DataFrame:
             g = g[g["w"] > 0]
         return g
 
-    def mg_partial(df: pd.DataFrame) -> pd.DataFrame:
-        words = df["text"].str.split().explode().dropna()
+    def mg_partial(t: pa.Table) -> pd.DataFrame:
+        words = t["text"].to_pandas().str.split().explode().dropna()
         return mg_cut(words.value_counts().rename_axis("word").reset_index(name="w"))
 
     def mg_merge(df: pd.DataFrame) -> pd.DataFrame:
@@ -3003,8 +2927,8 @@ def heavy_hitters(sf_dir, phi_den: int = 1000) -> pd.DataFrame:
         )
     cand_ref = ray.put(frozenset(cand["word"]))
 
-    def exact_count(df: pd.DataFrame) -> pd.DataFrame:
-        words = df["text"].str.split().explode().dropna()
+    def exact_count(t: pa.Table) -> pd.DataFrame:
+        words = t["text"].to_pandas().str.split().explode().dropna()
         total = len(words)
         hits = words[words.isin(ray.get(cand_ref))]
         out = hits.value_counts().rename_axis("word").reset_index(name="n")
@@ -3047,11 +2971,7 @@ def unigram_surprisal(sf_dir) -> rd.Dataset:
         return rd.from_arrow(pa.table({c: pa.array([], pa.int64()) for c in cols}))
 
     # corpus total: one row per batch, summed in one task
-    total = int(
-        _aggregate(tf, [], partial=lambda df: pd.DataFrame({"tf": [df["tf"].sum()]}))
-        .to_pandas()["tf"]
-        .iloc[0]
-    )
+    total = _aggregate(tf, [], tf=("tf", "sum")).take_all()[0]["tf"]
 
     def attach_q(g: pd.DataFrame) -> pd.DataFrame:
         # all rows of a term are co-located: corpus count = group sum
@@ -3062,13 +2982,7 @@ def unigram_surprisal(sf_dir) -> rd.Dataset:
         return g
 
     scored = _aggregate(tf, ["term"], attach_q)
-
-    def per_doc(g: pd.DataFrame) -> pd.DataFrame:
-        return g.groupby("doc_id", as_index=False).agg(
-            n_tokens=("tf", "sum"), microbits=("q", "sum")
-        )
-
-    return _aggregate(scored, ["doc_id"], per_doc)
+    return _aggregate(scored, ["doc_id"], n_tokens=("tf", "sum"), microbits=("q", "sum"))
 
 
 def rolling_daily_revenue(sf_dir, window: int = 7) -> pd.DataFrame:
@@ -3083,18 +2997,14 @@ def rolling_daily_revenue(sf_dir, window: int = 7) -> pd.DataFrame:
     AND CURRENT ROW`` exactly."""
     ds = _read(sf_dir, "lineitem", ["l_shipdate", "l_extendedprice"])
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        cents = np.rint(df["l_extendedprice"].to_numpy() * 100).astype(
-            np.int64
-        )
-        day = df["l_shipdate"].dt.strftime("%Y-%m-%d")
-        return (
-            pd.DataFrame({"day": day, "revenue_cents": cents})
-            .groupby("day", as_index=False)
-            .agg(revenue_cents=("revenue_cents", "sum"))
-        )
+    def days(t: pa.Table) -> pa.Table:
+        cents = np.rint(t["l_extendedprice"].to_numpy() * 100).astype(np.int64)
+        day = pc.strftime(t["l_shipdate"], "%Y-%m-%d")
+        return pa.table({"day": day, "revenue_cents": cents})
 
-    daily = _aggregate(ds, ["day"], partial=partial).to_pandas()
+    daily = _aggregate(
+        ds, ["day"], partial=days, revenue_cents=("revenue_cents", "sum")
+    ).to_pandas()
     daily = daily.sort_values("day", ignore_index=True)
     daily["rolling_cents"] = (
         daily["revenue_cents"].rolling(window, min_periods=1).sum().astype(
@@ -3183,28 +3093,13 @@ def funnel_counts(
 def distinct_users_exact(sf_dir) -> rd.Dataset:
     """EXACT distinct users per event_type — the precise twin of
     ``approx_distinct_users`` (HLL), kept for corpora where the group
-    count is small enough to afford it.  Per-batch distinct pairs slim
-    the shuffle to unique (type, user) rows, pairs co-locate by user
-    hash, each partition dedups and counts its disjoint user set, and
-    a tiny final sum combines per type (a user appears in exactly one
-    partition, so partition counts add exactly)."""
+    count is small enough to afford it.  The distinct (type, user)
+    pairs are a keyed group-by (per batch first, so the shuffle moves
+    unique pairs only), and a second keyed count per type counts them;
+    each pair is one row there, so the counts add exactly."""
     ds = _read(sf_dir, "events", ["event_type", "user_id"])
-
-    def pairs(df: pd.DataFrame) -> pd.DataFrame:
-        return df[["event_type", "user_id"]].drop_duplicates()
-
-    dd = ds.map_batches(pairs, batch_format="pandas")
-
-    def count_part(g: pd.DataFrame) -> pd.DataFrame:
-        u = g.drop_duplicates()
-        return (
-            u.groupby("event_type", as_index=False)
-            .size()
-            .rename(columns={"size": "n_users"})
-        )
-
-    parts = _aggregate(dd, ["user_id"], count_part)
-    return _aggregate(parts, ["event_type"])
+    pairs = _aggregate(ds, ["event_type", "user_id"], n=("user_id", "count"))
+    return _aggregate(pairs, ["event_type"], n_users=("user_id", "count"))
 
 
 def first_events_per_user(sf_dir, k: int = 3) -> rd.Dataset:
@@ -3247,18 +3142,13 @@ def cohort_retention(sf_dir) -> rd.Dataset:
         day = g["ts"].dt.normalize()
         fday = g["ft"].dt.normalize()
         offs = (day - fday).dt.days.astype("int64")
-        d = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "user_id": g["user_id"],
                 "cohort_day": fday.dt.strftime("%Y-%m-%d"),
                 "day_offset": offs,
             }
         ).drop_duplicates()
-        return (
-            d.groupby(["cohort_day", "day_offset"], as_index=False)
-            .size()
-            .rename(columns={"size": "n_users"})
-        )
 
     parts = _aggregate(ds, ["user_id"], retention_part)
-    return _aggregate(parts, ["cohort_day", "day_offset"])
+    return _aggregate(parts, ["cohort_day", "day_offset"], n_users=("user_id", "count"))

@@ -471,13 +471,23 @@ def reserialized(sf_dir, **options) -> rd.Dataset:
 
 def dedup_output(ds: rd.Dataset) -> rd.Dataset:
     """Duplicate-doc_id guard for resumed/unioned outputs (SURVEY.md
-    §2.3): hash-partition on doc_id so equal ids co-locate, then one
-    vectorized drop_duplicates per PARTITION.  Same semantics as a
-    per-id groupby-first, but the Python overhead is O(partitions),
-    not O(documents) — the measured 0.5 ms/group map_groups trap."""
-    from .dataops import _aggregate
+    §2.3): hash-partition on doc_id so equal ids co-locate, then keep
+    the first row of each id per PARTITION, in Arrow (one group-by for
+    the smallest row index, one take), so the rows keep the input's
+    schema.  The Python overhead is O(partitions), not O(documents) —
+    the measured 0.5 ms/group map_groups trap."""
+    import numpy as np
 
-    return _aggregate(ds, ["doc_id"], lambda g: g.drop_duplicates("doc_id"))
+    from .dataops import _exchange
+
+    def first_per_id(part, t):
+        if t is None:
+            return None
+        rows = pa.table({"doc_id": t["doc_id"], "_row": np.arange(t.num_rows)})
+        first = rows.group_by("doc_id", use_threads=False).aggregate([("_row", "min")])
+        return t.take(np.sort(first["_row_min"].to_numpy()))
+
+    return _exchange([(ds, ["doc_id"])], first_per_id)
 
 
 def spans_flat(ds: rd.Dataset) -> rd.Dataset:

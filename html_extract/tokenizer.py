@@ -528,7 +528,10 @@ class Tokenizer:
         data = s[p:i]
         self.p = min(i + 1, n)
         if "\x00" in data:
-            self._err("unexpected-null-character", p)
+            j = data.find("\x00")
+            while j != -1:
+                self._err("unexpected-null-character", p + j)
+                j = data.find("\x00", j + 1)
             data = data.replace("\x00", FFFD)
         if self.processing_instructions and data.startswith("?"):
             return [("PI", data)]
@@ -746,9 +749,12 @@ class Tokenizer:
         """At '<': the tokens of an end tag that names the last start tag,
         or None when ``s[p:]`` does not start one.
 
-        EOF in its attribute section: the spec's before-attribute-name
-        state emits eof-in-tag and EOF only, so the consumed '</name ...'
-        characters are dropped (no token).
+        The name must be followed by whitespace, '/' or '>': EOF right
+        after it is the end tag name state's "anything else" branch, so
+        '</name' stays text with no error.  EOF in its attribute section:
+        the spec's before-attribute-name state emits eof-in-tag and EOF
+        only, so the consumed '</name ...' characters are dropped (no
+        token).
         """
         s, n = self.s, self.n
         m = RE_END_TAG_NAME.match(s, p)
@@ -756,8 +762,8 @@ class Tokenizer:
             return None
         name = ascii_lower(m.group(1))
         q = m.end()
-        if name != self.last_start_tag or (
-            q < n and s[q] not in WS_SET and s[q] not in "/>"
+        if name != self.last_start_tag or q >= n or (
+            s[q] not in WS_SET and s[q] not in "/>"
         ):
             return None
         return self._scan_attrs(name, q, False)

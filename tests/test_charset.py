@@ -198,6 +198,42 @@ def test_encoding_change_matrix_reference_parity():
             )
 
 
+@pytest.mark.parametrize(
+    "content_type, want",
+    [
+        # the charset inside another parameter's quoted value is that value
+        ('text/html; foo="; charset=koi8-r"', None),
+        # a parameter name holds no whitespace: no space around '='
+        ("text/html; charset = koi8-r", None),
+        ("text/html; charset =koi8-r", None),
+        ('text/html; charset="koi8-r"', "KOI8-R"),
+        ("text/html; charset=koi8-r", "KOI8-R"),
+        ("TEXT/HTML ; CHARSET=KOI8-R ", "KOI8-R"),
+        # first charset wins, also when the first is quoted
+        ("text/html; charset=koi8-r; charset=utf-8", "KOI8-R"),
+        ('text/html;charset="koi8-r";charset=utf-8', "KOI8-R"),
+        # an empty value sets nothing, so a later charset counts
+        ("text/html; charset=;charset=koi8-r", "KOI8-R"),
+        # quoted-string escapes, and text after the closing quote is dropped
+        ('text/html; charset="koi\\8-r"', "KOI8-R"),
+        ('text/html; charset="koi8-r" junk', "KOI8-R"),
+        # WHATWG quotes with '"' only: 'koi8-r' (quotes included) is no label
+        ("text/html; charset='koi8-r'", None),
+        ("text/html; charset", None),
+        # no MIME type: the string may be a bare label (reference behavior)
+        ("utf-8", "UTF-8"),
+        ("koi8-r", "KOI8-R"),
+        ("text/html", None),
+    ],
+)
+def test_from_content_type_parses_a_mime_type(content_type, want):
+    """``from_content_type`` reads the ``charset`` parameter as WHATWG
+    "parse a MIME type" does, and keeps the bare-label form."""
+    from html_extract import charset as cs
+
+    assert cs.from_content_type(content_type) == want
+
+
 def test_charset_edge_branches():
     """Trace-driven edges: unknown labels, UTF-16BE BOM, content-type
     without charset, meta-content scanner quote/EOF forms, prescan

@@ -2271,10 +2271,80 @@ def test_aggregate_default_sums_by_keys(monkeypatch):
         got = D._aggregate(ds, ["k", "s"]).to_pandas()
         got = got.sort_values(["k", "s"], ignore_index=True)
         pd.testing.assert_frame_equal(got, want)
-    total = D._aggregate(ds, [], partial=lambda df: df[["v"]].sum().to_frame().T)
+    total = D._aggregate(ds, [], partial=lambda t: t.select(["v"]))
     assert total.to_pandas().to_dict("list") == {"v": [4950]}
     sizes = D._aggregate(ds, [], lambda df: pd.DataFrame({"n": [len(df)]}))
     assert sizes.to_pandas()["n"].tolist() == [100]
+
+
+def test_group_by_keeps_pandas_semantics(monkeypatch):
+    """The declared aggregates' one group-by keeps the pandas group-by
+    rules the queries were written for: a null key drops its row, count
+    counts rows with a null value, a sum over no values is 0, no rows
+    give no rows (also without keys), and the group-by is single-threaded
+    (float summation order does not depend on threads)."""
+    import pyarrow as pa
+
+    from html_extract import dataops as D
+
+    threads = []
+    init = pa.TableGroupBy.__init__
+
+    def spy(self, table, keys, use_threads=True):
+        threads.append(use_threads)
+        init(self, table, keys, use_threads=use_threads)
+
+    monkeypatch.setattr(pa.TableGroupBy, "__init__", spy)
+    t = pa.table(
+        {"k": ["a", None, "a", "b", "c"], "v": pa.array([1.5, 5.0, None, None, 2.5])}
+    )
+    aggs = {"n": ("v", "count"), "s": ("v", "sum"), "lo": ("v", "min"), "hi": ("v", "max")}
+    got = D._group_by(t, ["k"], aggs).sort_by("k").to_pandas()
+    want = t.to_pandas().groupby("k", as_index=False).agg(
+        n=("v", "size"), s=("v", "sum"), lo=("v", "min"), hi=("v", "max")
+    )
+    pd.testing.assert_frame_equal(got, want)
+    assert got["n"].tolist() == [2, 1, 1] and got["s"].tolist() == [1.5, 0.0, 2.5]
+    assert D._group_by(t, [], {"s": ("v", "sum")}).to_pylist() == [{"s": 9.0}]
+    for keys in (["k"], []):
+        assert D._group_by(t.slice(0, 0), keys, {"s": ("v", "sum")}).num_rows == 0
+    assert threads and not any(threads)
+
+
+def test_aggregate_emits_only_arrow_blocks():
+    """Every block an aggregate hands on is an Arrow table of one schema:
+    the declared form, the default sum and a pandas combine, with fewer
+    keys than partitions, so some partitions are empty (their pandas
+    blocks were zero-row frames that Ray logs size errors for)."""
+    import pyarrow as pa
+    import ray
+    import ray.data as rd
+
+    from html_extract import dataops as D
+
+    ds = rd.from_arrow(pa.table({"k": ["a", "b", "a"], "v": [1, 2, 3]}))
+    assert D._num_partitions() > 2
+    runs = {
+        "declared": D._aggregate(ds, ["k"], v=("v", "sum")),
+        "default sum": D._aggregate(ds, ["k"]),
+        "pandas combine": D._aggregate(
+            ds, ["k"], lambda g: g.groupby("k", as_index=False).agg(v=("v", "sum"))
+        ),
+    }
+    for name, out in runs.items():
+        blocks = [
+            ray.get(ref)
+            for bundle in out.iter_internal_ref_bundles()
+            for ref in bundle.block_refs
+        ]
+        assert blocks, name
+        assert all(isinstance(b, pa.Table) for b in blocks), (name, blocks)
+        # empty partitions' blocks keep the input's types (no null columns)
+        assert {b.schema.to_string() for b in blocks} == {
+            "k: string\nv: int64"
+        }, name
+        rows = sorted(r for b in blocks for r in zip(b["k"].to_pylist(), b["v"].to_pylist()))
+        assert rows == [("a", 4), ("b", 2)], name
 
 
 def test_exchange_all_empty_input_keeps_typed_schema(tmp_path):

@@ -136,6 +136,16 @@ def test_dedup_output_guard():
     out = P.dedup_output(ds).to_pandas()
     assert sorted(out["doc_id"]) == ["a", "b"]
 
+    # the extracted rows keep their nested schema (pandas blocks of
+    # nested objects could not be converted back to Arrow)
+    ext = P.extracted_dataset(SF_DIR).materialize()
+    out = P.dedup_output(ext.union(ext)).materialize()
+    assert out.schema().base_schema == ext.schema().base_schema
+    assert out.schema().base_schema.field("spans").type.value_type == P.SPAN_OUT_T
+    assert out.schema().base_schema.field("meta").type == P.META_T
+    ids = out.to_pandas()["doc_id"]
+    assert ids.is_unique and sorted(ids) == sorted(ext.to_pandas()["doc_id"])
+
 
 def test_plain_adapter_mode():
     from html_extract import pipeline as P
@@ -297,6 +307,7 @@ def test_one_cpu_session_completes():
 # the ones that run a shared read, term-count or top-k helper
 ONE_CPU_QUERY_NAMES = [
     "langid",
+    "doc_size_histogram",
     "minhash_candidates",
     "embedding_near_dups",
     "ann_topk_lsh",

@@ -2,13 +2,16 @@
 queries() entry at a given sf and compare against oracle_sql() via
 DuckDB (row count + column names + order-insensitive value hash).
 
-Usage: python tools/check_correctness.py [sf_dir]
+Usage: python tools/check_correctness.py [sf_dir]   (from any directory:
+the checkout is put on the driver's sys.path and on the Ray workers'
+PYTHONPATH)
 """
 
 import os
 import sys
 
-sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, ROOT)
 
 import duckdb
 import pandas as pd
@@ -56,6 +59,10 @@ def main():
     import ray
 
     if not ray.is_initialized():
+        # the Ray workers import html_extract too, from any working directory
+        os.environ["PYTHONPATH"] = os.pathsep.join(
+            [ROOT] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        )
         ray.init(
             address="local",
             num_cpus=8,
